@@ -22,13 +22,24 @@ from repro.analysis.reuse_distance import (
     reuse_distance_analysis,
     reuse_distances_of_trace,
 )
-from repro.analysis.reuse_distance import _trace_events  # ablation-only
 from repro.apps import build_app
 from repro.frontend.dsl import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
 from repro.host import CudaRuntime
 from repro.passes import instrumentation_pipeline, optimization_pipeline
-from repro.profiler import ProfilingSession
+from repro.profiler import MemoryOp, ProfilingSession
+
+
+def _line_events(records, line_size=128):
+    """One CTA's (cache line, is_write) stream, record then lane order."""
+    events = []
+    for record in records:
+        is_write = record.op != MemoryOp.LOAD
+        events.extend(
+            (int(addr) // line_size, is_write)
+            for addr in record.active_addresses()
+        )
+    return events
 
 
 def test_ablation_element_vs_cache_line(benchmark):
@@ -125,7 +136,7 @@ def test_ablation_trimmed_mean_eq1(benchmark):
 
     def distances():
         events_by_cta = [
-            _trace_events(records, ReuseDistanceModel.CACHE_LINE, 128)
+            _line_events(records)
             for records in profile.memory_records_by_cta().values()
         ]
         out = []
@@ -159,7 +170,10 @@ def test_cache_size_prediction_curves(benchmark):
     matching its Figure 4 character) while syrk's keeps climbing
     (capacity-sensitive, matching "cache capacity likely affects the
     effectiveness of L1 level optimization schemes")."""
+    from collections import Counter
+
     from repro.analysis.cache_model import (
+        StackDistanceSummary,
         hit_rate_curve,
         profile_stack_distances,
     )
@@ -168,9 +182,9 @@ def test_cache_size_prediction_curves(benchmark):
         curves = {}
         for app in ("hotspot", "syrk", "bicg"):
             report = profiled_report(app, modes=("memory",))
-            distances = []
+            distances = StackDistanceSummary(Counter(), line_size=128)
             for profile in report.session.profiles:
-                distances.extend(profile_stack_distances(profile, 128))
+                distances.merge(profile_stack_distances(profile, 128))
             curves[app] = hit_rate_curve(
                 distances, [2 ** k for k in range(3, 12)], 128
             )

@@ -49,7 +49,7 @@ def _run_cycles(app, module):
 def _vertical_cycles(app_name):
     """Plan per-site bypassing from the profile, apply, measure."""
     advisor = CUDAAdvisor(arch=KEPLER_16_SCALED, modes=("memory",),
-                          measure_overhead=False)
+                          measure_overhead=False, keep_records=True)
     app = build_app(app_name)
     report = advisor.profile(app)
 

@@ -31,13 +31,13 @@ Usage::
     --fused             measure analysis wall time instead of raw
                         simulator speed: for each FUSED_APPS entry,
                         time execute+analyze end-to-end under the
-                        in-RAM batch path, the streaming drain and the
-                        fused in-flight path, and record per-app
-                        ``vs_inram`` / ``vs_stream`` speedups in a
-                        ``fused`` section of the results file. With
-                        --floor R, exit nonzero if any app's fused
-                        ``vs_inram`` speedup falls below R (the fused
-                        CI perf gate)
+                        classic in-RAM batch path, kept records, the
+                        streaming drain and the fused in-flight path,
+                        and record per-app ``vs_inram`` / ``vs_keep`` /
+                        ``vs_stream`` speedups in a ``fused`` section
+                        of the results file. With --floor R, exit
+                        nonzero if any app's fused ``vs_inram`` speedup
+                        falls below R (the fused CI perf gate)
     --rss               measure drain peak RSS instead of speed: each
                         configuration runs in a forked child and reports
                         its instrumentation-attributable ru_maxrss
@@ -80,6 +80,15 @@ from repro.analysis import (
     reuse_distance_analysis,
 )
 from repro.analysis.aggregates import advisor_plan
+from repro.analysis.arithmetic import ArithmeticProfile
+from repro.analysis.divergence_branch import BranchDivergenceProfile
+from repro.analysis.divergence_memory import _column_unique_line_counts
+from repro.analysis.reuse_distance import (
+    ReuseDistanceHistogram,
+    _column_flat_events,
+    _cta_row_segments,
+    reuse_distances_of_trace,
+)
 from repro.apps import APP_NAMES, build_app
 from repro.frontend.dsl import compile_kernels
 from repro.gpu.arch import KEPLER_K40C
@@ -301,7 +310,8 @@ def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
     """Peak-RSS delta (KB) of one configuration, run in a forked child.
 
     ``mode`` is ``plain`` (uninstrumented), ``inram`` (instrumented,
-    default drain, batch analyses over the materialized trace) or
+    trace materialized, the advisor's analyses over it -- the
+    ``keep_records`` mode) or
     ``stream`` (instrumented, streaming drain through an
     :func:`advisor_plan` analyzer bank). The child records its
     ``ru_maxrss`` before and after the run; since maxrss is a
@@ -343,16 +353,7 @@ def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
                         profile.aggregates.results()
                 elif mode == "inram":
                     for profile in session.profiles:
-                        reuse_distance_analysis(
-                            profile, ReuseDistanceModel.ELEMENT, RSS_LINE_SIZE
-                        )
-                        reuse_distance_analysis(
-                            profile, ReuseDistanceModel.CACHE_LINE,
-                            RSS_LINE_SIZE,
-                        )
-                        memory_divergence_analysis(profile, RSS_LINE_SIZE)
-                        branch_divergence_analysis(profile)
-                        arithmetic_analysis(profile)
+                        _kept_record_analyses(profile)
             end = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             with os.fdopen(write_fd, "w") as out:
                 json.dump({"delta_kb": end - start}, out)
@@ -431,25 +432,73 @@ def run_rss_suite(repeat: int = 1) -> dict:
     return {"apps": per_app, "passed": passed}
 
 
+def _kept_record_analyses(profile) -> None:
+    """The advisor's analyses over one materialized profile (what
+    ``CUDAAdvisor(keep_records=True)`` runs after the launch)."""
+    reuse_distance_analysis(profile, ReuseDistanceModel.ELEMENT, RSS_LINE_SIZE)
+    reuse_distance_analysis(
+        profile, ReuseDistanceModel.CACHE_LINE, RSS_LINE_SIZE
+    )
+    memory_divergence_analysis(profile, RSS_LINE_SIZE)
+    branch_divergence_analysis(profile)
+    arithmetic_analysis(profile)
+
+
+def _classic_analyses(profile) -> None:
+    """The record-at-a-time batch analyses the fused gate is set against.
+
+    What the analyzers computed over a materialized trace before every
+    analysis became a segment aggregate (the reference of the recorded
+    ``vs_inram`` numbers): scalar per-CTA reuse distances for both
+    models, vectorized unique-line counts, and per-record branch and
+    arithmetic loops.
+    """
+    memory = profile.memory_records
+    for model in (ReuseDistanceModel.ELEMENT, ReuseDistanceModel.CACHE_LINE):
+        histogram = ReuseDistanceHistogram(model=model)
+        for rows in _cta_row_segments(memory.cta):
+            elements, writes = _column_flat_events(
+                memory, rows, model, RSS_LINE_SIZE
+            )
+            histogram.add_samples(reuse_distances_of_trace(
+                list(zip(elements.tolist(), writes.tolist()))
+            ))
+    _column_unique_line_counts(memory, RSS_LINE_SIZE)
+    branch = BranchDivergenceProfile()
+    for record in profile.block_records:
+        branch.add(record)
+    arith = ArithmeticProfile()
+    for record in profile.arith_records:
+        if record.is_float:
+            arith.lane_flops += record.active_lanes
+        else:
+            arith.lane_intops += record.active_lanes
+        arith.by_opcode[record.opcode] += record.active_lanes
+        arith.by_line[record.line] += record.active_lanes
+
+
 def _analysis_run(app_name: str, app_kwargs: dict, mode: str,
                   spill_dir: str) -> float:
     """Wall seconds for one execute+analyze run under ``mode``.
 
-    ``inram`` materializes the trace in RAM and runs the batch
-    analyses over it afterwards (the classic pipeline); ``stream``
+    ``inram`` materializes the trace in RAM and runs the classic
+    record-at-a-time batch analyses over it afterwards
+    (:func:`_classic_analyses`); ``keep`` materializes it and runs the
+    public analyzers, which feed it through the same aggregates the
+    other modes use (``CUDAAdvisor(keep_records=True)``); ``stream``
     spills ``RSS_SPILL_ROWS``-row segments and drains them through an
     :func:`advisor_plan` bank at kernel end; ``fused`` feeds the same
     bank in flight, so no trace is ever materialized or spilled (the
-    spill config only sets the flush granularity). All three produce
-    byte-identical analyzer results; only where the work happens --
-    and therefore the wall time -- differs, which is exactly what this
+    spill config only sets the flush granularity). All four produce
+    identical analyzer results; only where the work happens -- and
+    therefore the wall time -- differs, which is exactly what this
     measures: the timed region covers the app run *and* the analyses.
     """
     app = build_app(app_name, **app_kwargs)
     module = compile_kernels(list(app.kernels), app_name)
     optimization_pipeline().run(module)
     instrumentation_pipeline(INSTRUMENT_MODES).run(module)
-    if mode == "inram":
+    if mode in ("inram", "keep"):
         session = ProfilingSession()
     else:
         plan = advisor_plan(RSS_LINE_SIZE, INSTRUMENT_MODES)
@@ -466,35 +515,40 @@ def _analysis_run(app_name: str, app_kwargs: dict, mode: str,
 
     start = time.perf_counter()
     app.run(rt, image, state)
-    if mode == "inram":
-        for profile in session.profiles:
-            reuse_distance_analysis(
-                profile, ReuseDistanceModel.ELEMENT, RSS_LINE_SIZE
-            )
-            reuse_distance_analysis(
-                profile, ReuseDistanceModel.CACHE_LINE, RSS_LINE_SIZE
-            )
-            memory_divergence_analysis(profile, RSS_LINE_SIZE)
-            branch_divergence_analysis(profile)
-            arithmetic_analysis(profile)
-    else:
-        for profile in session.profiles:
+    for profile in session.profiles:
+        if mode == "inram":
+            _classic_analyses(profile)
+        elif mode == "keep":
+            _kept_record_analyses(profile)
+        else:
             profile.aggregates.results()
     return time.perf_counter() - start
 
 
+def _fused_ratios(times: Dict[str, float]) -> dict:
+    """Rounded per-mode seconds plus the fused path's speedups."""
+    out = {f"{mode}_s": round(t, 4) for mode, t in times.items()}
+    for mode in ("inram", "keep", "stream"):
+        out[f"vs_{mode}"] = (
+            round(times[mode] / times["fused"], 3) if times["fused"] else None
+        )
+    return out
+
+
 def run_fused_suite(repeat: int = 1) -> dict:
-    """Execute+analyze wall time: in-RAM vs streaming vs fused.
+    """Execute+analyze wall time: classic in-RAM vs kept records vs
+    streaming vs fused.
 
     Per :data:`FUSED_APPS` entry, the trimmed-mean-of-``repeat`` wall
-    time of each pipeline shape plus the ``vs_inram`` / ``vs_stream``
-    speedup ratios of the fused path. The results are comparable
-    because the three paths compute byte-identical analyzer output.
+    time of each pipeline shape plus the ``vs_inram`` / ``vs_keep`` /
+    ``vs_stream`` speedup ratios of the fused path. The results are
+    comparable because the four paths compute identical analyzer
+    output.
     """
     per_app: Dict[str, dict] = {}
     for name, kwargs in FUSED_APPS.items():
         times: Dict[str, float] = {}
-        for mode in ("inram", "stream", "fused"):
+        for mode in ("inram", "keep", "stream", "fused"):
             samples = []
             for _ in range(max(1, repeat)):
                 with tempfile.TemporaryDirectory() as spill_dir:
@@ -504,36 +558,25 @@ def run_fused_suite(repeat: int = 1) -> dict:
             times[mode] = _trimmed(samples)
         per_app[name] = {
             "kwargs": kwargs,
-            "inram_s": round(times["inram"], 4),
-            "stream_s": round(times["stream"], 4),
-            "fused_s": round(times["fused"], 4),
-            "vs_inram": round(times["inram"] / times["fused"], 3)
-            if times["fused"] else None,
-            "vs_stream": round(times["stream"] / times["fused"], 3)
-            if times["fused"] else None,
+            **_fused_ratios(times),
         }
         print(
             f"{name:>10}: in-RAM {times['inram']:7.3f}s   "
+            f"kept {times['keep']:7.3f}s   "
             f"stream {times['stream']:7.3f}s   "
             f"fused {times['fused']:7.3f}s   "
             f"{per_app[name]['vs_inram']:.2f}x vs in-RAM   "
+            f"{per_app[name]['vs_keep']:.2f}x vs kept   "
             f"{per_app[name]['vs_stream']:.2f}x vs stream"
         )
     total = {
         mode: sum(app[f"{mode}_s"] for app in per_app.values())
-        for mode in ("inram", "stream", "fused")
+        for mode in ("inram", "keep", "stream", "fused")
     }
-    aggregate = {
-        "inram_s": round(total["inram"], 4),
-        "stream_s": round(total["stream"], 4),
-        "fused_s": round(total["fused"], 4),
-        "vs_inram": round(total["inram"] / total["fused"], 3)
-        if total["fused"] else None,
-        "vs_stream": round(total["stream"] / total["fused"], 3)
-        if total["fused"] else None,
-    }
+    aggregate = _fused_ratios(total)
     print(
         f"{'TOTAL':>10}: in-RAM {total['inram']:7.3f}s   "
+        f"kept {total['keep']:7.3f}s   "
         f"stream {total['stream']:7.3f}s   "
         f"fused {total['fused']:7.3f}s   "
         f"{aggregate['vs_inram']:.2f}x vs in-RAM"

@@ -62,11 +62,15 @@ def profiled_report(
     modes: Sequence[str] = ("memory", "blocks"),
     measure_overhead: bool = False,
 ) -> AdvisorReport:
-    """Profile one Table 2 app (cached per configuration)."""
+    """Profile one Table 2 app (cached per configuration).
+
+    Raw records are kept: the debugging views and ablations read them.
+    """
     key = (app_name, arch.name, arch.l1_size, tuple(modes), measure_overhead)
     if key not in _REPORT_CACHE:
         advisor = CUDAAdvisor(
-            arch=arch, modes=modes, measure_overhead=measure_overhead
+            arch=arch, modes=modes, measure_overhead=measure_overhead,
+            keep_records=True,
         )
         _REPORT_CACHE[key] = advisor.profile(build_app(app_name))
     return _REPORT_CACHE[key]

@@ -19,8 +19,9 @@ from repro.profiler.codecentric import format_code_centric_view
 
 
 def main():
+    # keep_records: the views below look up raw trace records.
     advisor = CUDAAdvisor(arch=KEPLER_K40C, modes=("memory", "blocks"),
-                          measure_overhead=False)
+                          measure_overhead=False, keep_records=True)
     report = advisor.profile(build_app("bfs", num_nodes=1024))
     session = report.session
 

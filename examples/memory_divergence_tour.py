@@ -110,8 +110,10 @@ def main():
         print(f"{arch.name} ({arch.l1_line_size}-byte cache lines)")
         print("=" * 70)
         for program in (AoSProgram(), SoAProgram()):
+            # keep_records: divergent_sites reads the raw trace.
             advisor = CUDAAdvisor(arch=arch, modes=("memory",),
-                                  measure_overhead=False)
+                                  measure_overhead=False,
+                                  keep_records=True)
             report = advisor.profile(program)
             print(render_divergence_distribution(
                 program.name, report.memory_divergence

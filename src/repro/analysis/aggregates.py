@@ -1,23 +1,26 @@
-"""Streaming per-segment analyzer aggregates (the out-of-core drain).
+"""Per-segment analyzer aggregates: the one analysis implementation.
 
 The paper's analyzers are *online* consumers: reuse distance,
 divergence and cache behaviour are computed incrementally as
 instrumentation callbacks fire, never holding a full trace. This module
-restores that property for the columnar pipeline: each analysis becomes
-a :class:`SegmentAggregate` with an ``update(segment_columns)`` /
-``merge(other)`` / ``finalize()`` contract, and the streaming drain
-(:mod:`repro.profiler.streamdrain`) pushes one spill segment at a time
-through an :class:`AnalyzerBank` of them -- peak drain memory is
-O(segment), not O(trace).
+restores that property for the columnar pipeline: each analysis is a
+:class:`SegmentAggregate` with an ``update(segment_columns)`` /
+``merge(other)`` / ``finalize()`` contract. By default the profiler
+pushes rows through an :class:`AnalyzerBank` of them *in flight*
+(:class:`~repro.profiler.streamdrain.FusedSink`); the public
+``*_analysis()`` functions answer from that bank, or feed a
+materialized trace through the same aggregate as one segment
+(:func:`analyze`). There is no second, batch implementation.
 
-Results are **byte-identical** to running the batch analyzers over a
-fully materialized trace (pinned by ``tests/test_streaming_drain.py``):
+Results do not depend on how the trace is segmented -- checked against
+the record-at-a-time oracles (``reuse_distances_of_trace``,
+``stack_distances``) by ``tests/test_differential.py``:
 
 * Per-CTA analyses (reuse distance, stack distance, site reuse) carry
   per-CTA cursor state across segment boundaries -- a CTA's events
   appear in trace order within every segment, so concatenating its
-  per-segment slices reproduces the exact per-CTA stream the batch
-  path regroups. The reuse cursor answers a whole segment at once with
+  per-segment slices reproduces the exact per-CTA stream the paper's
+  per-CTA regrouping of the whole trace yields. The reuse cursor answers a whole segment at once with
   an offline dominance count (:func:`_prefix_rank_gt`) instead of a
   per-event Fenwick walk, carrying only each distinct element's last
   global position -- O(distinct elements) state, no per-event Python
@@ -27,7 +30,8 @@ fully materialized trace (pinned by ``tests/test_streaming_drain.py``):
   accumulation order cannot change them.
 * Dict-ordered results (per-site tables) record a canonical
   first-encounter key per site and sort at ``finalize()``, reproducing
-  the batch insertion order exactly -- including across shard merges.
+  the whole trace's first-encounter order exactly -- including across
+  shard merges.
 
 ``merge()`` combines aggregates computed over *disjoint CTA/row
 partitions* (fork-parallel shards): shard partials merge
@@ -61,6 +65,7 @@ from repro.analysis.reuse_distance import (
     _Fenwick,
 )
 from repro.errors import AnalysisError
+from repro.profiler.buffers import as_columns
 
 #: Initial (and minimum) time-axis capacity of an online Fenwick tree.
 #: Small on purpose: one cursor lives per (CTA, model) for the whole
@@ -373,13 +378,16 @@ class SegmentAggregate:
 
     ``stream`` names the trace stream the aggregate consumes
     ("memory", "block" or "arith"); the :class:`AnalyzerBank` routes
-    segments accordingly. ``update`` sees each kept segment exactly
+    segments accordingly. ``key`` identifies the class and the
+    parameters it was built with: two aggregates with equal keys
+    compute the same analysis. ``update`` sees each kept segment exactly
     once, in trace order; ``merge`` combines a peer computed over a
     disjoint CTA partition (fork-parallel shards, in shard order);
-    ``finalize`` returns the batch-identical analysis result.
+    ``finalize`` returns the analysis result.
     """
 
     stream = "memory"
+    key: tuple = ()
 
     def update(self, cols) -> None:
         raise NotImplementedError
@@ -411,6 +419,7 @@ class ReuseDistanceAggregate(SegmentAggregate):
         self.model = model
         self.line_size = line_size
         self.write_restart = write_restart
+        self.key = (type(self), model, line_size, write_restart)
         self._states: Dict[int, _OnlineReuse] = {}
         self.histogram = ReuseDistanceHistogram(model=model)
 
@@ -436,7 +445,7 @@ class ReuseDistanceAggregate(SegmentAggregate):
 class SiteReuseAggregate(SegmentAggregate):
     """Streaming :func:`~repro.analysis.reuse_distance.site_reuse_analysis`.
 
-    The batch result is a dict in first-encounter order: CTAs ascending,
+    The result is a dict in first-encounter order: CTAs ascending,
     then first read position within the first CTA that reads the site.
     Each site records its minimal ``(cta, read_position)`` key and
     ``finalize`` sorts by it, reproducing that order exactly.
@@ -449,6 +458,7 @@ class SiteReuseAggregate(SegmentAggregate):
         self.model = model
         self.line_size = line_size
         self.write_restart = write_restart
+        self.key = (type(self), model, line_size, write_restart)
         self._states: Dict[int, _OnlineReuse] = {}
         self._hists: Dict[Tuple[int, int], ReuseDistanceHistogram] = {}
         self._order: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -514,10 +524,10 @@ class SiteReuseAggregate(SegmentAggregate):
 class StackDistanceAggregate(SegmentAggregate):
     """Streaming :func:`~repro.analysis.cache_model.profile_stack_distances`.
 
-    The batch path returns the raw sample list; out of core that would
-    defeat the point, so this aggregate folds the samples into a
+    Folds the per-read samples into a
     :class:`~repro.analysis.cache_model.StackDistanceSummary` -- an
-    exact distance->count table that reproduces the same
+    exact distance->count table (a raw sample list would be O(reads))
+    that reproduces the raw samples'
     :class:`~repro.analysis.cache_model.HitRateCurve` float-for-float.
     """
 
@@ -525,6 +535,7 @@ class StackDistanceAggregate(SegmentAggregate):
 
     def __init__(self, line_size: int = 128):
         self.line_size = line_size
+        self.key = (type(self), line_size)
         self._states: Dict[int, _OnlineStack] = {}
         self._counts: Counter = Counter()
         self._infinite = 0
@@ -567,6 +578,7 @@ class MemoryDivergenceAggregate(SegmentAggregate):
     stream = "memory"
 
     def __init__(self, line_size: int):
+        self.key = (type(self), line_size)
         self.profile = MemoryDivergenceProfile(line_size=line_size)
 
     def update(self, cols) -> None:
@@ -597,6 +609,7 @@ class DivergentSitesAggregate(SegmentAggregate):
     def __init__(self, line_size: int, threshold: int = 2):
         self.line_size = line_size
         self.threshold = threshold
+        self.key = (type(self), line_size, threshold)
         self._counts: Dict[Tuple[int, int], int] = {}
         self._first: Dict[Tuple[int, int], int] = {}
         self._rows_seen = 0
@@ -649,6 +662,7 @@ class BranchDivergenceAggregate(SegmentAggregate):
     stream = "block"
 
     def __init__(self):
+        self.key = (type(self),)
         self.profile = BranchDivergenceProfile()
 
     def update(self, cols) -> None:
@@ -686,6 +700,7 @@ class ArithmeticAggregate(SegmentAggregate):
     stream = "arith"
 
     def __init__(self):
+        self.key = (type(self),)
         self.profile = ArithmeticProfile()
 
     def update(self, cols) -> None:
@@ -704,10 +719,7 @@ class ArithmeticAggregate(SegmentAggregate):
             by_line[line] += n
 
     def merge(self, other: "ArithmeticAggregate") -> None:
-        self.profile.lane_flops += other.profile.lane_flops
-        self.profile.lane_intops += other.profile.lane_intops
-        self.profile.by_opcode.update(other.profile.by_opcode)
-        self.profile.by_line.update(other.profile.by_line)
+        self.profile.merge(other.profile)
 
     def finalize(self) -> ArithmeticProfile:
         return self.profile
@@ -724,6 +736,9 @@ class AnalyzerBank:
 
     def __init__(self, aggregates: Dict[str, SegmentAggregate]):
         self.aggregates = dict(aggregates)
+        #: name -> parameter key; kept after :meth:`seal` so finalized
+        #: results can still be found by what they compute.
+        self._keys = {name: agg.key for name, agg in self.aggregates.items()}
         self._finalized: Dict[str, object] = {}
         self._by_stream: Dict[str, List[SegmentAggregate]] = {
             "memory": [], "block": [], "arith": [],
@@ -765,6 +780,13 @@ class AnalyzerBank:
         self._finalized[name] = self.aggregates[name].finalize()
         return self._finalized[name]
 
+    def lookup(self, key: tuple):
+        """The result of the aggregate built with ``key``, or None."""
+        for name, known in self._keys.items():
+            if known == key:
+                return self.result(name)
+        return None
+
     def _names(self) -> List[str]:
         return sorted(set(self.aggregates) | set(self._finalized))
 
@@ -787,6 +809,37 @@ class AnalyzerBank:
             self.result(name)
         self.aggregates = {}
         self._by_stream = {"memory": [], "block": [], "arith": []}
+
+
+#: the profile attribute holding each stream's records.
+_RECORDS = {
+    "memory": "memory_records",
+    "block": "block_records",
+    "arith": "arith_records",
+}
+
+
+def analyze(profile, aggregate: SegmentAggregate):
+    """``aggregate``'s result over one kernel profile.
+
+    A profile analyzed in flight answers from its bank when the bank
+    holds an aggregate with the same key. Otherwise the profile's
+    materialized records are fed through ``aggregate`` as a single
+    segment -- the same code, and aggregates do not depend on
+    segmentation, so both answers are identical. A profile analyzed in
+    flight without that aggregate has no records to feed, which raises
+    :class:`~repro.errors.ProfilerError`.
+    """
+    bank = getattr(profile, "aggregates", None)
+    if bank is not None:
+        result = bank.lookup(aggregate.key)
+        if result is not None:
+            return result
+    stream = aggregate.stream
+    cols = as_columns(getattr(profile, _RECORDS[stream]), stream)
+    if len(cols):
+        aggregate.update(cols)
+    return aggregate.finalize()
 
 
 class AnalyzerPlan:

@@ -24,6 +24,12 @@ class ArithmeticProfile:
     by_opcode: Counter = field(default_factory=Counter)
     by_line: Counter = field(default_factory=Counter)
 
+    def merge(self, other: "ArithmeticProfile") -> None:
+        self.lane_flops += other.lane_flops
+        self.lane_intops += other.lane_intops
+        self.by_opcode.update(other.by_opcode)
+        self.by_line.update(other.by_line)
+
     @property
     def lane_operations(self) -> int:
         return self.lane_flops + self.lane_intops
@@ -42,16 +48,9 @@ class ArithmeticProfile:
 
 def arithmetic_analysis(profile) -> ArithmeticProfile:
     """Run over one :class:`KernelProfile` (requires "arith" mode)."""
-    result = ArithmeticProfile()
-    for record in profile.arith_records:
-        lanes = record.active_lanes
-        if record.is_float:
-            result.lane_flops += lanes
-        else:
-            result.lane_intops += lanes
-        result.by_opcode[record.opcode] += lanes
-        result.by_line[record.line] += lanes
-    return result
+    from repro.analysis import aggregates  # which imports this module
+
+    return aggregates.analyze(profile, aggregates.ArithmeticAggregate())
 
 
 def bytes_accessed(profile) -> int:

@@ -30,14 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.reuse_distance import (
-    _Fenwick,
-    _column_event_streams,
-    INFINITE,
-    ReuseDistanceModel,
-)
-from repro.profiler.buffers import MemoryColumns
-from repro.profiler.records import MemoryAccessRecord, MemoryOp
+from repro.analysis.reuse_distance import _Fenwick, INFINITE
 
 
 def stack_distances(events: Sequence[Tuple[int, bool]]) -> List[int]:
@@ -120,17 +113,21 @@ class HitRateCurve:
 class StackDistanceSummary:
     """Exact stack-distance histogram: distance -> number of reads.
 
-    The streaming drain's compact replacement for the raw sample list
-    (:class:`~repro.analysis.aggregates.StackDistanceAggregate` emits
-    one): it holds every finite distance with its multiplicity plus the
-    ∞ count, which is all :func:`hit_rate_curve` ever consumes -- so
-    the derived curve is float-for-float identical to the in-RAM path,
-    at O(distinct distances) memory instead of O(reads).
+    What :func:`profile_stack_distances` returns (built by
+    :class:`~repro.analysis.aggregates.StackDistanceAggregate`): every
+    finite distance with its multiplicity plus the ∞ count, which is
+    all :func:`hit_rate_curve` ever consumes -- so the derived curve is
+    float-for-float identical to one over the raw samples, at
+    O(distinct distances) memory instead of O(reads).
     """
 
     counts: Counter  # finite stack distance -> read count
     infinite: int = 0
     line_size: int = 128
+
+    def merge(self, other: "StackDistanceSummary") -> None:
+        self.counts.update(other.counts)
+        self.infinite += other.infinite
 
     @property
     def reads(self) -> int:
@@ -192,26 +189,14 @@ def hit_rate_curve(
 
 def profile_stack_distances(
     profile, line_size: int = 128
-) -> List[int]:
-    """Per-CTA line-granular stack distances for one kernel profile."""
-    samples: List[int] = []
-    records = profile.memory_records
-    if isinstance(records, MemoryColumns):
-        for lines, writes in _column_event_streams(
-            records, ReuseDistanceModel.CACHE_LINE, line_size
-        ):
-            samples.extend(
-                stack_distances(list(zip(lines.tolist(), writes.tolist())))
-            )
-        return samples
-    for cta, cta_records in sorted(profile.memory_records_by_cta().items()):
-        events: List[Tuple[int, bool]] = []
-        for record in cta_records:
-            is_write = record.op in (MemoryOp.STORE, MemoryOp.ATOMIC)
-            for addr in record.active_addresses():
-                events.append((int(addr) // line_size, is_write))
-        samples.extend(stack_distances(events))
-    return samples
+) -> StackDistanceSummary:
+    """Per-CTA line-granular stack distances of one kernel profile, as
+    an exact distance -> read-count table."""
+    from repro.analysis import aggregates  # which imports this module
+
+    return aggregates.analyze(
+        profile, aggregates.StackDistanceAggregate(line_size)
+    )
 
 
 @dataclass

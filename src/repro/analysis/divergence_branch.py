@@ -74,7 +74,6 @@ class BranchDivergenceProfile:
 
 def branch_divergence_analysis(profile) -> BranchDivergenceProfile:
     """Run over one :class:`KernelProfile` (requires "blocks" mode)."""
-    result = BranchDivergenceProfile()
-    for record in profile.block_records:
-        result.add(record)
-    return result
+    from repro.analysis import aggregates  # which imports this module
+
+    return aggregates.analyze(profile, aggregates.BranchDivergenceAggregate())

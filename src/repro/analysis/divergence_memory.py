@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.gpu.coalescing import divergence_degree
 from repro.profiler.buffers import MemoryColumns
-from repro.profiler.records import MemoryAccessRecord
 
 #: Row-chunk size for the vectorized unique-line pass (bounds the
 #: temporary (rows, 2*warp_size) matrices to a few MB).
@@ -102,58 +100,24 @@ class MemoryDivergenceProfile:
 
 
 def memory_divergence_analysis(
-    profile,
-    line_size: int,
-    per_line_sources: bool = False,
+    profile, line_size: int
 ) -> MemoryDivergenceProfile:
     """Distribution over all instrumented accesses of one kernel profile."""
-    result = MemoryDivergenceProfile(line_size=line_size)
-    records = profile.memory_records
-    if isinstance(records, MemoryColumns):
-        counts = _column_unique_line_counts(records, line_size)
-        if counts.size:
-            for k, c in enumerate(np.bincount(counts).tolist()):
-                if c:
-                    result.counts[k] += c
-        return result
-    for record in records:
-        result.add(_unique_lines(record, line_size))
-    return result
+    from repro.analysis import aggregates  # which imports this module
+
+    return aggregates.analyze(
+        profile, aggregates.MemoryDivergenceAggregate(line_size)
+    )
 
 
 def divergent_sites(
     profile, line_size: int, threshold: int = 2
 ) -> Dict[Tuple[int, int], int]:
     """Source locations (line, col) with divergent accesses and their
-    event counts -- the lookup behind the Figure 8 debugging view."""
-    sites: Dict[Tuple[int, int], int] = {}
-    records = profile.memory_records
-    if isinstance(records, MemoryColumns):
-        counts = _column_unique_line_counts(records, line_size)
-        sel = np.flatnonzero(counts >= threshold)
-        if sel.size:
-            pairs = np.stack(
-                [
-                    records.line[sel].astype(np.int64),
-                    records.col[sel].astype(np.int64),
-                ],
-                axis=1,
-            )
-            uniq, first, cnt = np.unique(
-                pairs, axis=0, return_index=True, return_counts=True
-            )
-            # First-encounter order, matching the per-record path.
-            for j in np.argsort(first, kind="stable").tolist():
-                sites[(int(uniq[j, 0]), int(uniq[j, 1]))] = int(cnt[j])
-        return sites
-    for record in records:
-        if _unique_lines(record, line_size) >= threshold:
-            key = (record.line, record.col)
-            sites[key] = sites.get(key, 0) + 1
-    return sites
+    event counts, in first-encounter order -- the lookup behind the
+    Figure 8 debugging view."""
+    from repro.analysis import aggregates  # which imports this module
 
-
-def _unique_lines(record: MemoryAccessRecord, line_size: int) -> int:
-    return divergence_degree(
-        record.addresses, record.mask, max(record.bytes_per_lane, 1), line_size
+    return aggregates.analyze(
+        profile, aggregates.DivergentSitesAggregate(line_size, threshold)
     )

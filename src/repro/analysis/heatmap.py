@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.aggregates import analyze
 from repro.analysis.reuse_distance import _cta_row_segments
 from repro.errors import AnalysisError
 from repro.profiler.buffers import MemoryColumns
@@ -76,6 +77,22 @@ class _Cell:
         return int(np.unpackbits(self.bits).sum())
 
 
+def _unique_pairs(granules: np.ndarray, cells: np.ndarray):
+    """Distinct ``(granule, cell)`` pairs in sorted order, plus each
+    input pair's index into them.
+
+    Same result as ``np.unique`` over the stacked pairs with
+    ``axis=0``, but via one int64 key per pair (granule-major, so the
+    order is identical) -- the row-wise form sorts void records and is
+    several times slower. Device addresses are bounded by the memory
+    arena, so the packed key cannot overflow.
+    """
+    span = int(cells.max()) + 1
+    uniq, inverse = np.unique(granules * span + cells, return_inverse=True)
+    pairs = zip((uniq // span).tolist(), (uniq % span).tolist())
+    return list(pairs), inverse.reshape(-1)
+
+
 class HeatmapAggregate:
     """Streaming heat-map builder (``update``/``merge``/``finalize``).
 
@@ -96,6 +113,7 @@ class HeatmapAggregate:
             )
         self.cell_rows = cell_rows
         self.granule_bytes = granule_bytes
+        self.key = (type(self), cell_rows, granule_bytes)
         #: per-CTA kept-row phase cursor, carried across segments.
         self._phase: Dict[int, int] = {}
         self._cells: Dict[Tuple[int, int], _Cell] = {}
@@ -125,15 +143,13 @@ class HeatmapAggregate:
 
     def _count(self, lane_addr, lane_cell, lane_write) -> None:
         """Accumulate lane-level read/write counts per (granule, cell)."""
-        keys = np.stack([lane_addr // self.granule_bytes, lane_cell], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        uniq, inverse = _unique_pairs(lane_addr // self.granule_bytes,
+                                      lane_cell)
         k = len(uniq)
         writes = np.bincount(inverse[lane_write], minlength=k)
         totals = np.bincount(inverse, minlength=k)
         nbits = self.granule_bytes // 8
-        for j in range(k):
-            key = (int(uniq[j, 0]), int(uniq[j, 1]))
+        for j, key in enumerate(uniq):
             cell = self._cells.get(key)
             if cell is None:
                 cell = self._cells[key] = _Cell(nbits)
@@ -155,17 +171,14 @@ class HeatmapAggregate:
             cells.append(lane_cell[sel])
         pos = np.concatenate(positions)
         cell = np.concatenate(cells)
-        keys = np.stack([pos // self.granule_bytes, cell], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        uniq, inverse = _unique_pairs(pos // self.granule_bytes, cell)
         order = np.argsort(inverse, kind="stable")
         bounds = np.cumsum(np.bincount(inverse))[:-1]
         groups = np.split((pos % self.granule_bytes)[order], bounds)
         bitval = np.left_shift(
             np.uint8(1), np.arange(8, dtype=np.uint8)
         )
-        for j in range(len(uniq)):
-            key = (int(uniq[j, 0]), int(uniq[j, 1]))
+        for j, key in enumerate(uniq):
             target = self._cells.get(key)
             if target is None:
                 target = self._cells[key] = _Cell(nbits)
@@ -335,37 +348,7 @@ class MemoryHeatmap:
         return sum(row.accesses for row in self.rows)
 
 
-def _columns_from_records(records) -> MemoryColumns:
-    """Materialize columns from a plain record list (hand-built tests)."""
-    n = len(records)
-    warp = len(records[0].mask) if n else 1
-    cols = MemoryColumns(
-        np.array([r.seq for r in records], dtype=np.int64),
-        np.array([r.cta for r in records], dtype=np.int32),
-        np.array([r.warp_in_cta for r in records], dtype=np.int32),
-        np.array([r.bits for r in records], dtype=np.int32),
-        np.array([r.line for r in records], dtype=np.int32),
-        np.array([r.col for r in records], dtype=np.int32),
-        np.array([int(r.op) for r in records], dtype=np.int8),
-        np.array([r.call_path_id for r in records], dtype=np.int64),
-        np.array([r.addresses for r in records], dtype=np.int64).reshape(n, warp),
-        np.array([r.mask for r in records], dtype=bool).reshape(n, warp),
-    )
-    return cols
-
-
 def heatmap_analysis(profile, cell_rows: int = DEFAULT_CELL_ROWS,
                      granule_bytes: int = DEFAULT_GRANULE) -> HeatmapTable:
-    """Batch heat map of one :class:`KernelProfile` (in-RAM drain).
-
-    Feeds the whole materialized trace through one
-    :class:`HeatmapAggregate` as a single segment, so the result is
-    definitionally identical to the streaming drain's.
-    """
-    records = profile.memory_records
-    if not isinstance(records, MemoryColumns):
-        records = _columns_from_records(list(records))
-    aggregate = HeatmapAggregate(cell_rows, granule_bytes)
-    if len(records):
-        aggregate.update(records)
-    return aggregate.finalize()
+    """The granule-level heat map of one :class:`KernelProfile`."""
+    return analyze(profile, HeatmapAggregate(cell_rows, granule_bytes))

@@ -175,20 +175,21 @@ def render_jit_cache(app: str, stats: Optional[dict]) -> str:
 
 
 def render_stream_stats(app: str, profiles: Sequence) -> str:
-    """Streaming-drain counters for one profiled run (--streaming-drain).
+    """Analyzer-bank streaming counters for one profiled run.
 
-    One row per kernel instance that drained through the analyzer bank:
-    segments streamed, the peak number of trace rows resident during
-    the drain (the O(segment) guarantee, vs total kept rows), and the
-    rows dropped (capacity, sampling clip, corrupt segments). Without
-    any streamed launch the section renders an explicit placeholder so
-    verbose output always shows it.
+    One row per kernel instance whose rows streamed through the
+    analyzer bank (the default, in-flight analysis): segments streamed,
+    the peak number of trace rows resident at once (the O(segment)
+    guarantee, vs total kept rows), and the rows dropped (capacity,
+    sampling clip, corrupt segments). When every launch kept its
+    records the section renders an explicit placeholder so verbose
+    output always shows it.
     """
     if not any(p.stream_stats is not None for p in profiles):
         return (
             f"Streaming drain -- {app}\n"
-            f"  (none: traces were drained in RAM; enable with "
-            f"--streaming-drain)"
+            f"  (none: traces were kept in RAM (keep_records=True); "
+            f"enable with the default in-flight analysis)"
         )
     lines = [
         f"Streaming drain -- {app}",

@@ -17,21 +17,24 @@ Definitions follow Section 4.2-(A) exactly:
 * **Streaming accesses** (never reused by the same CTA) are counted --
   they are exactly the ∞ samples.
 
-Distances are computed online with a Fenwick tree over access times
-(O(N log N)), the standard stack-distance algorithm.
+:func:`reuse_distances_of_trace` is the record-at-a-time definition
+(a Fenwick tree over access times, O(N log N)); the analyses run the
+vectorized streaming cursor of
+:class:`~repro.analysis.aggregates.ReuseDistanceAggregate`, which the
+differential tests check against it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import AnalysisError
 from repro.profiler.buffers import MemoryColumns
-from repro.profiler.records import MemoryAccessRecord, MemoryOp
+from repro.profiler.records import MemoryOp
 
 #: Figure 4's x-axis buckets: (label, lo, hi) inclusive; ∞ kept separate.
 PAPER_BUCKETS: Tuple[Tuple[str, int, int], ...] = (
@@ -258,34 +261,6 @@ def _column_flat_events(
     return elements[mask], writes
 
 
-def _column_event_streams(
-    columns: MemoryColumns,
-    model: ReuseDistanceModel,
-    line_size: int,
-):
-    """Yield per-CTA (elements, writes) arrays, ascending CTA id."""
-    for rows in _cta_row_segments(columns.cta):
-        yield _column_flat_events(columns, rows, model, line_size)
-
-
-def _trace_events(
-    records: Iterable[MemoryAccessRecord],
-    model: ReuseDistanceModel,
-    line_size: int,
-) -> List[Tuple[int, bool]]:
-    events: List[Tuple[int, bool]] = []
-    for record in records:
-        is_write = record.op in (MemoryOp.STORE, MemoryOp.ATOMIC)
-        width = max(record.bytes_per_lane, 1)
-        for addr in record.active_addresses():
-            if model == ReuseDistanceModel.CACHE_LINE:
-                element = int(addr) // line_size
-            else:
-                element = int(addr) // width
-            events.append((element, is_write))
-    return events
-
-
 def reuse_distance_analysis(
     profile,
     model: ReuseDistanceModel = ReuseDistanceModel.ELEMENT,
@@ -298,24 +273,12 @@ def reuse_distance_analysis(
     then each CTA's stream is analyzed independently and the histograms
     are merged.
     """
-    histogram = ReuseDistanceHistogram(model=model)
-    records = profile.memory_records
-    if isinstance(records, MemoryColumns):
-        for elements, writes in _column_event_streams(
-            records, model, line_size
-        ):
-            events = list(zip(elements.tolist(), writes.tolist()))
-            histogram.add_samples(
-                reuse_distances_of_trace(events, write_restart=write_restart)
-            )
-        return histogram
-    for cta, cta_records in sorted(profile.memory_records_by_cta().items()):
-        events = _trace_events(cta_records, model, line_size)
-        for distance in reuse_distances_of_trace(
-            events, write_restart=write_restart
-        ):
-            histogram.add_sample(distance)
-    return histogram
+    from repro.analysis import aggregates  # which imports this module
+
+    return aggregates.analyze(
+        profile,
+        aggregates.ReuseDistanceAggregate(model, line_size, write_restart),
+    )
 
 
 def site_reuse_analysis(
@@ -329,73 +292,12 @@ def site_reuse_analysis(
     This is the per-load view that *vertical* cache bypassing needs
     (Xie et al. [55], discussed in the paper's Section 4.2-D): a load
     whose accesses are mostly never reused should bypass L1, one with
-    short reuse should cache.
+    short reuse should cache. Sites appear in first-encounter order
+    (CTAs ascending).
     """
-    sites: Dict[Tuple[int, int], ReuseDistanceHistogram] = {}
-    records = profile.memory_records
-    if isinstance(records, MemoryColumns):
-        for rows in _cta_row_segments(records.cta):
-            elements, writes = _column_flat_events(
-                records, rows, model, line_size
-            )
-            mask = records.mask[rows]
-            events = list(zip(elements.tolist(), writes.tolist()))
-            distances = np.asarray(
-                reuse_distances_of_trace(
-                    events, write_restart=write_restart, reads_only=False
-                ),
-                dtype=np.int64,
-            )
-            reads = ~writes
-            if not reads.any():
-                continue
-            lanes_line = np.broadcast_to(
-                records.line[rows].astype(np.int64)[:, None], mask.shape
-            )[mask][reads]
-            lanes_col = np.broadcast_to(
-                records.col[rows].astype(np.int64)[:, None], mask.shape
-            )[mask][reads]
-            d_reads = distances[reads]
-            pairs = np.stack([lanes_line, lanes_col], axis=1)
-            uniq, first, inverse = np.unique(
-                pairs, axis=0, return_index=True, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-            by_site = np.argsort(inverse, kind="stable")
-            bounds = np.cumsum(np.bincount(inverse))[:-1]
-            groups = np.split(d_reads[by_site], bounds)
-            # First-encounter order, matching the per-record path.
-            for j in np.argsort(first, kind="stable").tolist():
-                key = (int(uniq[j, 0]), int(uniq[j, 1]))
-                hist = sites.get(key)
-                if hist is None:
-                    hist = ReuseDistanceHistogram(model=model)
-                    sites[key] = hist
-                hist.add_samples(groups[j])
-        return sites
-    for cta, records_list in sorted(profile.memory_records_by_cta().items()):
-        events: List[Tuple[int, bool]] = []
-        tags: List[Tuple[int, int]] = []
-        for record in records_list:
-            is_write = record.op in (MemoryOp.STORE, MemoryOp.ATOMIC)
-            width = max(record.bytes_per_lane, 1)
-            site = (record.line, record.col)
-            for addr in record.active_addresses():
-                if model == ReuseDistanceModel.CACHE_LINE:
-                    element = int(addr) // line_size
-                else:
-                    element = int(addr) // width
-                events.append((element, is_write))
-                tags.append(site)
-        distances = reuse_distances_of_trace(
-            events, write_restart=write_restart, reads_only=False
-        )
-        for (element_event, tag, distance) in zip(events, tags, distances):
-            if element_event[1]:
-                continue  # writes carry no reuse sample
-            hist = sites.get(tag)
-            if hist is None:
-                hist = ReuseDistanceHistogram(model=model)
-                sites[tag] = hist
-            hist.add_sample(distance)
-    return sites
+    from repro.analysis import aggregates  # which imports this module
+
+    return aggregates.analyze(
+        profile,
+        aggregates.SiteReuseAggregate(model, line_size, write_restart),
+    )

@@ -113,23 +113,6 @@ def _add_profiling_args(profile: argparse.ArgumentParser) -> None:
         help="rows per spill segment (needs --spill-dir; default 65536)",
     )
     profile.add_argument(
-        "--streaming-drain", action="store_true",
-        help="drain traces through streaming analyzer aggregates "
-        "(O(segment) peak memory; raw records are not retained)",
-    )
-    profile.add_argument(
-        "--fused", action="store_true",
-        help="fused in-flight analysis: rows stream into the analyzer "
-        "aggregates during execution (no spill I/O, no drain pass; "
-        "byte-identical results, raw records are not retained)",
-    )
-    profile.add_argument(
-        "--drain-workers", type=int, default=None,
-        help="fork-parallel width of the kernel-exit segment drain for "
-        "spilled --streaming-drain runs (serial when sampling or a "
-        "capacity cap requires global stream order)",
-    )
-    profile.add_argument(
         "--heatmap-cell-rows", type=int, default=None,
         help="kept memory accesses per CTA per heat-map time cell "
         "(default 256; finer cells = finer time resolution)",
@@ -289,13 +272,6 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
         raise _UsageError("--workers must be >= 1")
     if args.sample_rate < 1:
         raise _UsageError("--sample-rate must be >= 1")
-    if args.streaming_drain and args.fused:
-        raise _UsageError(
-            "--fused and --streaming-drain are mutually exclusive: the "
-            "fused path already streams rows through the analyzers"
-        )
-    if args.drain_workers is not None and args.drain_workers < 1:
-        raise _UsageError("--drain-workers must be >= 1")
     if args.spill_rows is not None and args.spill_dir is None:
         raise _UsageError("--spill-rows needs --spill-dir")
     if args.spill_rows is not None and args.spill_rows < 1:
@@ -323,9 +299,6 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
         failure_policy=args.failure_policy,
         spill_dir=args.spill_dir,
         spill_rows=args.spill_rows or 65536,
-        streaming_drain=args.streaming_drain,
-        fused_drain=args.fused,
-        drain_workers=args.drain_workers,
         heatmap=heatmap,
         **kwargs,
     )
@@ -351,9 +324,6 @@ def _submit_config(args, modes, heatmap) -> dict:
         ("failure_policy", args.failure_policy),
         ("spill_dir", args.spill_dir),
         ("spill_rows", args.spill_rows),
-        ("streaming_drain", args.streaming_drain or None),
-        ("fused_drain", args.fused or None),
-        ("drain_workers", args.drain_workers),
     ):
         if value is not None:
             config[hint] = value

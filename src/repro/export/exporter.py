@@ -219,7 +219,7 @@ def _runtime_section(report: AdvisorReport) -> dict:
             ),
         }
     supervisor = getattr(
-        getattr(session.runtime, "device", None), "_supervisor", None
+        session.device, "_supervisor", None
     )
     if supervisor is not None and supervisor.events:
         runtime["degradations"] = [

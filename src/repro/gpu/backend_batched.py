@@ -689,7 +689,8 @@ class BatchedCTA:
         self.l2_latency = device.arch.l2_latency
         self._row_its = (
             [_RowIt(c, self.line_size, self.l2_latency) for c in ctxs]
-            if self.gang else [self] * W
+            if self.gang
+            else [_RowIt(ctx, self.line_size, self.l2_latency)] * W
         )
         self._issue_cycles = device.arch.issue_cycles
         self._spec = spec if spec is not None else {}

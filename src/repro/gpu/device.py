@@ -19,6 +19,7 @@ import copy
 import multiprocessing
 import os
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -401,7 +402,9 @@ class Device:
     def supervisor(self) -> LaunchSupervisor:
         """The launch supervisor enforcing ``failure_policy`` (lazy)."""
         if self._supervisor is None:
-            self._supervisor = LaunchSupervisor(self)
+            # A proxy, not self: the supervisor must not keep a dropped
+            # device (and its memory arena) alive through a cycle.
+            self._supervisor = LaunchSupervisor(weakref.proxy(self))
         return self._supervisor
 
     @property
@@ -649,6 +652,10 @@ class Device:
                 for warp in ctx.warps:
                     result.branches += warp.branch_count
                     result.divergent_branches += warp.divergent_branch_count
+                # The CTA's interpreter and batched machine point back
+                # at it; detach them so a finished launch (and the
+                # device its image holds) is freed by refcount.
+                ctx.interp = ctx.batched = None
         return result
 
     # -- parallel launch ----------------------------------------------------------

@@ -220,7 +220,7 @@ class AdvisorReport:
                 "rows_dropped": dropped,
             }
         supervisor = getattr(
-            getattr(self.session.runtime, "device", None), "_supervisor", None
+            self.session.device, "_supervisor", None
         )
         if supervisor is not None and supervisor.events:
             out["degradations"] = [
@@ -282,6 +282,13 @@ class AdvisorReport:
         return tips
 
 
+def _merged(total, parts):
+    """Merge every per-launch result of ``parts`` into ``total``."""
+    for part in parts:
+        total.merge(part)
+    return total
+
+
 class CUDAAdvisor:
     """Compile -> instrument -> profile -> analyze -> advise."""
 
@@ -298,18 +305,10 @@ class CUDAAdvisor:
         failure_policy: Optional[str] = None,
         spill_dir: Optional[str] = None,
         spill_rows: int = 65536,
-        streaming_drain: bool = False,
-        fused_drain: bool = False,
-        drain_workers: Optional[int] = None,
+        keep_records: bool = False,
         heatmap: bool = False,
         heatmap_cell_rows: int = DEFAULT_CELL_ROWS,
     ):
-        if streaming_drain and fused_drain:
-            raise AnalysisError(
-                "streaming_drain and fused_drain are mutually exclusive: "
-                "the fused path already streams rows through the "
-                "analyzer bank in flight"
-            )
         self.arch = arch
         self.modes = tuple(modes)
         self.optimize = optimize
@@ -323,24 +322,15 @@ class CUDAAdvisor:
         self.failure_policy = failure_policy
         self.spill_dir = spill_dir
         self.spill_rows = spill_rows
-        #: stream the kernel-exit drain through per-segment analyzer
-        #: aggregates instead of materializing the trace: peak drain
-        #: memory drops to O(spill_rows) and every analysis result
-        #: stays byte-identical (see docs/performance.md). Raw records
-        #: are not retained, so leave this off when post-hoc record
-        #: inspection is needed.
-        self.streaming_drain = streaming_drain
-        #: analyze rows *in flight*: buffered rows flush into the
-        #: analyzer bank at segment granularity during execution, so
-        #: the trace is never spilled, re-read or drained. Results stay
-        #: byte-identical to the streaming drain; launches that need
-        #: raw records (pc sampling) degrade per launch with a
-        #: ``fused-records-unavailable`` warning.
-        self.fused_drain = fused_drain
-        #: fork-parallel width of the kernel-exit segment drain for
-        #: spill workloads on the *streaming* path (no effect when no
-        #: sampling/capacity constraint forces the serial relay).
-        self.drain_workers = drain_workers
+        #: Rows are analyzed *in flight* by default: they flush into
+        #: the analyzer bank at segment granularity during execution
+        #: and the trace is never materialized (launches that need raw
+        #: records, such as pc sampling, degrade per launch with a
+        #: ``fused-records-unavailable`` warning). ``keep_records``
+        #: keeps every launch's raw records (``profile.memory_records``
+        #: etc.) for post-hoc record-level analyses and analyzes them
+        #: after the run instead; the report is identical either way.
+        self.keep_records = keep_records
         #: build the per-allocation x time heat map (needs "memory" mode);
         #: cell_rows sets kept memory instructions per CTA per time cell.
         self.heatmap = heatmap
@@ -369,7 +359,7 @@ class CUDAAdvisor:
         return CudaRuntime(device, profiler=profiler)
 
     def _plan(self):
-        """The analyzer plan both drain modes stream rows through."""
+        """The analyzer plan rows stream through in flight."""
         return advisor_plan(
             self.arch.l1_line_size,
             self.modes,
@@ -400,9 +390,7 @@ class CUDAAdvisor:
             sample_rate=self.sample_rate,
             spill_dir=self.spill_dir,
             spill_rows=self.spill_rows,
-            streaming=self._plan() if self.streaming_drain else None,
-            fused=self._plan() if self.fused_drain else None,
-            drain_workers=self.drain_workers,
+            fused=None if self.keep_records else self._plan(),
         )
         rt = self._fresh_runtime(profiler=session)
         module = self._compile(program, instrument=True)
@@ -429,71 +417,45 @@ class CUDAAdvisor:
         return report
 
     def _analyze(self, report: AdvisorReport, program: GPUProgram) -> None:
-        session = report.session
-        if "memory" in self.modes and session.profiles:
-            report.reuse_element = self._merged_reuse(
-                session, ReuseDistanceModel.ELEMENT
+        profiles = report.session.profiles
+        line_size = self.arch.l1_line_size
+        if "memory" in self.modes and profiles:
+            for attr, model in (
+                ("reuse_element", ReuseDistanceModel.ELEMENT),
+                ("reuse_cache_line", ReuseDistanceModel.CACHE_LINE),
+            ):
+                setattr(report, attr, _merged(
+                    ReuseDistanceHistogram(model=model),
+                    (reuse_distance_analysis(p, model, line_size)
+                     for p in profiles),
+                ))
+            report.memory_divergence = _merged(
+                MemoryDivergenceProfile(line_size=line_size),
+                (memory_divergence_analysis(p, line_size) for p in profiles),
             )
-            report.reuse_cache_line = self._merged_reuse(
-                session, ReuseDistanceModel.CACHE_LINE
-            )
-            merged_md = MemoryDivergenceProfile(line_size=self.arch.l1_line_size)
-            for profile in session.profiles:
-                if profile.aggregates is not None:
-                    merged_md.merge(
-                        profile.aggregates.result("memory_divergence")
-                    )
-                else:
-                    merged_md.merge(
-                        memory_divergence_analysis(
-                            profile, self.arch.l1_line_size
-                        )
-                    )
-            report.memory_divergence = merged_md
-
             if self.heatmap:
-                merged_hm = HeatmapTable(cell_rows=self.heatmap_cell_rows)
-                for profile in session.profiles:
-                    if profile.aggregates is not None:
-                        merged_hm.merge(profile.aggregates.result("heatmap"))
-                    else:
-                        merged_hm.merge(
-                            heatmap_analysis(
-                                profile, cell_rows=self.heatmap_cell_rows
-                            )
-                        )
-                report.heatmap = merged_hm
-
-            num_ctas = max(p.num_ctas for p in session.profiles)
+                report.heatmap = _merged(
+                    HeatmapTable(cell_rows=self.heatmap_cell_rows),
+                    (heatmap_analysis(p, cell_rows=self.heatmap_cell_rows)
+                     for p in profiles),
+                )
             report.bypass_prediction = predict_optimal_warps(
                 self.arch,
                 report.reuse_cache_line,
                 report.memory_divergence,
-                num_ctas=num_ctas,
+                num_ctas=max(p.num_ctas for p in profiles),
                 warps_per_cta=program.warps_per_cta,
             )
-        if "blocks" in self.modes and session.profiles:
-            merged_bd = BranchDivergenceProfile()
-            for profile in session.profiles:
-                if profile.aggregates is not None:
-                    merged_bd.merge(
-                        profile.aggregates.result("branch_divergence")
-                    )
-                else:
-                    merged_bd.merge(branch_divergence_analysis(profile))
-            report.branch_divergence = merged_bd
-        if "arith" in self.modes and session.profiles:
-            merged = ArithmeticProfile()
-            for profile in session.profiles:
-                if profile.aggregates is not None:
-                    one = profile.aggregates.result("arithmetic")
-                else:
-                    one = arithmetic_analysis(profile)
-                merged.lane_flops += one.lane_flops
-                merged.lane_intops += one.lane_intops
-                merged.by_opcode.update(one.by_opcode)
-                merged.by_line.update(one.by_line)
-            report.arithmetic = merged
+        if "blocks" in self.modes and profiles:
+            report.branch_divergence = _merged(
+                BranchDivergenceProfile(),
+                (branch_divergence_analysis(p) for p in profiles),
+            )
+        if "arith" in self.modes and profiles:
+            report.arithmetic = _merged(
+                ArithmeticProfile(),
+                (arithmetic_analysis(p) for p in profiles),
+            )
         if self.measure_overhead and report.baseline_results:
             report.overhead = overhead_report(
                 report.program,
@@ -502,26 +464,6 @@ class CUDAAdvisor:
                 report.baseline_results,
                 report.instrumented_results,
             )
-
-    def _merged_reuse(
-        self, session: ProfilingSession, model: ReuseDistanceModel
-    ) -> ReuseDistanceHistogram:
-        merged = ReuseDistanceHistogram(model=model)
-        name = (
-            "reuse_element"
-            if model is ReuseDistanceModel.ELEMENT
-            else "reuse_cache_line"
-        )
-        for profile in session.profiles:
-            if profile.aggregates is not None:
-                merged.merge(profile.aggregates.result(name))
-            else:
-                merged.merge(
-                    reuse_distance_analysis(
-                        profile, model=model, line_size=self.arch.l1_line_size
-                    )
-                )
-        return merged
 
     # -- the Figure 6/7 experiment ------------------------------------------------------
     def evaluate_bypass(

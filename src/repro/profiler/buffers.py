@@ -266,6 +266,11 @@ class _ColumnarBase:
         return {"paths": paths, "tail": tail}
 
 
+def _column(records, field: str, dtype=np.int32) -> np.ndarray:
+    """One field of every record, as a numpy column."""
+    return np.array([getattr(r, field) for r in records], dtype=dtype)
+
+
 class MemoryColumns:
     """Drained memory-trace columns; a lazy sequence of
     :class:`MemoryAccessRecord` for row-oriented consumers."""
@@ -321,6 +326,20 @@ class MemoryColumns:
             self.seq[rows], self.cta[rows], self.warp_in_cta[rows],
             self.bits[rows], self.line[rows], self.col[rows], self.op[rows],
             self.call_path_id[rows], self.addresses[rows], self.mask[rows],
+        )
+
+    @classmethod
+    def from_records(cls, records) -> "MemoryColumns":
+        """Columns over a hand-built list of :class:`MemoryAccessRecord`."""
+        shape = (len(records), len(records[0].mask) if records else 1)
+        return cls(
+            _column(records, "seq", np.int64), _column(records, "cta"),
+            _column(records, "warp_in_cta"), _column(records, "bits"),
+            _column(records, "line"), _column(records, "col"),
+            _column(records, "op", np.int8),
+            _column(records, "call_path_id", np.int64),
+            _column(records, "addresses", np.int64).reshape(shape),
+            _column(records, "mask", bool).reshape(shape),
         )
 
 
@@ -499,6 +518,18 @@ class BlockColumns:
             [self.block_names[i] for i in idx],
         )
 
+    @classmethod
+    def from_records(cls, records) -> "BlockColumns":
+        """Columns over a hand-built list of :class:`BlockRecord`."""
+        return cls(
+            _column(records, "seq", np.int64), _column(records, "cta"),
+            _column(records, "warp_in_cta"), _column(records, "line"),
+            _column(records, "col"), _column(records, "active_lanes"),
+            _column(records, "resident_lanes"),
+            _column(records, "call_path_id", np.int64),
+            [r.block_name for r in records],
+        )
+
 
 class ColumnarBlockBuffer(_ColumnarBase):
     """SoA append buffer for instrumented basic-block events."""
@@ -666,6 +697,18 @@ class ArithColumns:
             [self.opcodes[i] for i in idx],
         )
 
+    @classmethod
+    def from_records(cls, records) -> "ArithColumns":
+        """Columns over a hand-built list of :class:`ArithRecord`."""
+        return cls(
+            _column(records, "seq", np.int64), _column(records, "cta"),
+            _column(records, "warp_in_cta"), _column(records, "bits"),
+            _column(records, "is_float", bool), _column(records, "line"),
+            _column(records, "col"), _column(records, "active_lanes"),
+            _column(records, "call_path_id", np.int64),
+            [r.opcode for r in records],
+        )
+
 
 class ColumnarArithBuffer(_ColumnarBase):
     """SoA append buffer for instrumented arithmetic events."""
@@ -818,3 +861,20 @@ def clip_to_capacity(cols, capacity: Optional[int]):
     if capacity is None or len(cols) <= capacity:
         return cols, 0
     return cols.take(np.arange(capacity)), len(cols) - capacity
+
+
+_COLUMNS = {"memory": MemoryColumns, "block": BlockColumns,
+            "arith": ArithColumns}
+
+
+def as_columns(records, kind: str):
+    """One trace stream (``kind``: memory/block/arith) as columns.
+
+    Drained columns pass through unchanged; a hand-built record list is
+    converted. A trace that was analyzed in flight has no records, so
+    iterating it raises :class:`~repro.errors.ProfilerError`.
+    """
+    columns = _COLUMNS[kind]
+    if isinstance(records, columns):
+        return records
+    return columns.from_records(list(records))

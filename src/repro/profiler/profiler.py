@@ -26,12 +26,7 @@ from repro.profiler.buffers import (
 from repro.reliability.spill import SpillConfig
 from repro.reliability.supervisor import TRACE_SEGMENT_CORRUPT
 from repro.profiler.codecentric import CallPathRegistry, GPUPathEntry
-from repro.profiler.streamdrain import (
-    FusedSink,
-    StreamDrain,
-    StreamedRecords,
-    parallel_segment_drain,
-)
+from repro.profiler.streamdrain import FusedSink, StreamDrain, StreamedRecords
 from repro.profiler.records import (
     ArithRecord,
     BlockRecord,
@@ -66,9 +61,10 @@ class KernelProfile:
     #: segments (already included in ``dropped_records``).
     spilled_records: int = 0
     corrupt_records: int = 0
-    #: streaming drain only: the finalized-on-demand
+    #: launches analyzed through a bank (in flight, or by the streaming
+    #: drain): the sealed
     #: :class:`~repro.analysis.aggregates.AnalyzerBank` holding every
-    #: analyzer's partial aggregate (the records above are
+    #: analyzer's result (the records above are
     #: :class:`~repro.profiler.streamdrain.StreamedRecords`
     #: placeholders), plus the drain's counters for reporting.
     aggregates: object = None
@@ -97,7 +93,6 @@ class HookRuntime:
         spill: Optional[SpillConfig] = None,
         streaming=None,
         fused=None,
-        drain_workers: Optional[int] = None,
     ):
         if sample_rate < 1:
             raise ProfilerError("sample_rate must be >= 1")
@@ -135,9 +130,6 @@ class HookRuntime:
         #: streaming; disabled per launch when raw records are needed
         #: (``disable_fused``).
         self._fused = fused
-        #: fork-parallel segment drain width for streamed spill
-        #: workloads (None/1 keeps the serial relay).
-        self._drain_workers = drain_workers
         self._shard_states: List[dict] = []
 
         # -- reliability wiring (docs/reliability.md) ---------------------
@@ -192,14 +184,16 @@ class HookRuntime:
         self.profile: Optional[KernelProfile] = None
         self.on_complete = None  # callable(profile), set by the session
 
+    @property
+    def _on_corrupt(self) -> str:
+        return "drop" if self._spill is None else self._spill.on_corrupt
+
     def _attach_fused_sink(self) -> None:
         """Wire the current buffers into a fresh fused bank + drain."""
         self._fused_bank = self._fused.create_bank()
-        on_corrupt = (
-            "drop" if self._spill is None else self._spill.on_corrupt
-        )
         self._fused_drain = StreamDrain(
-            self._fused_bank, self.sample_rate, self._capacity, on_corrupt
+            self._fused_bank, self.sample_rate, self._capacity,
+            self._on_corrupt,
         )
         self._fused_sink = FusedSink(
             self._fused_drain, self.memory_buffer, self.block_buffer,
@@ -255,11 +249,8 @@ class HookRuntime:
             raise ProfilerError(f"unknown hook @{name}")
 
     def kernel_end(self, launch_result) -> None:
-        if self._fused is not None:
-            self._kernel_end_fused(launch_result)
-            return
-        if self._streaming is not None:
-            self._kernel_end_streaming(launch_result)
+        if self._fused is not None or self._streaming is not None:
+            self._kernel_end_bank(launch_result)
             return
         info = self._launch_info or {}
         memory = self.memory_buffer.drain()
@@ -276,7 +267,7 @@ class HookRuntime:
         corrupt = sum(b.corrupt_dropped for b in buffers)
         if corrupt:
             self._report_corruption(corrupt)
-        self.profile = KernelProfile(
+        self._complete(KernelProfile(
             kernel=self.kernel,
             host_call_path=self.host_call_path,
             launch_site=self.launch_site,
@@ -289,37 +280,33 @@ class HookRuntime:
             arith_records=arith,
             call_paths=self.call_paths,
             functions_by_id=self.image.functions_by_id,
-            dropped_records=(
-                self.memory_buffer.dropped
-                + self.block_buffer.dropped
-                + self.arith_buffer.dropped
-                + clipped
-            ),
+            dropped_records=sum(b.dropped for b in buffers) + clipped,
             launch_result=launch_result,
             spilled_records=sum(b.spilled for b in buffers),
             corrupt_records=corrupt,
-        )
-        if self.on_complete is not None:
-            self.on_complete(self.profile)
+        ))
 
-    def _kernel_end_streaming(self, launch_result) -> None:
-        """Drain through the analyzer bank one spill segment at a time.
+    def _kernel_end_bank(self, launch_result) -> None:
+        """Finish a launch whose rows went through an analyzer bank.
 
-        Peak drain memory is O(segment): disk segments (own and
-        shard-relayed) stream through the aggregates and are deleted as
-        consumed; the trace never concatenates. Stride sampling and
-        capacity are applied inside the drain with a running rank /
-        keep-first cursor so the kept row set -- and therefore every
-        aggregate -- is byte-identical to the in-RAM drain.
+        In flight (``fused``), own rows already streamed through the
+        bank during execution and only a sub-segment tail remains to
+        flush. The streaming drain instead pushes the spill segments
+        through a fresh bank one at a time (O(segment) peak memory,
+        files deleted as consumed). Either way shard states merge
+        first, in SM order -- safe for the fused bank because a
+        fork-parallel launch never dispatches hooks in the parent --
+        and stride sampling and capacity run on the drain's cursors, so
+        the kept rows match the in-RAM drain exactly.
         """
         info = self._launch_info or {}
-        bank = self._streaming.create_bank()
-        on_corrupt = "drop" if self._spill is None else self._spill.on_corrupt
-        drain = StreamDrain(
-            bank, self.sample_rate, self._capacity, on_corrupt
-        )
-        # Shard states first, in SM order (matching absorb_shards), then
-        # this process's own buffers (non-empty only for serial runs).
+        if self._fused is not None:
+            bank, drain = self._fused_bank, self._fused_drain
+        else:
+            bank = self._streaming.create_bank()
+            drain = StreamDrain(
+                bank, self.sample_rate, self._capacity, self._on_corrupt
+            )
         shard_dropped = shard_spilled = shard_corrupt = 0
         states, self._shard_states = self._shard_states, []
         for state in states:
@@ -334,27 +321,12 @@ class HookRuntime:
                 drain.stats.absorb(state["stats"])
             else:
                 drain.feed_shard_state(state)
-        parallel = None
-        if (
-            self.sample_rate == 1
-            and self._capacity is None
-            and self._drain_workers is not None
-            and self._drain_workers >= 2
-        ):
-            # Global-stream order does not matter (no sampling phase,
-            # no keep-first cutoff), so spilled segments can drain
-            # through forked analyzer banks and merge bank-to-bank.
-            device = getattr(self.image, "device", None)
-            num_sms = getattr(getattr(device, "arch", None), "num_sms", 0)
-            if num_sms >= 2:
-                parallel = parallel_segment_drain(
-                    self._streaming, self.memory_buffer,
-                    self.block_buffer, self.arith_buffer,
-                    num_sms, self._drain_workers, on_corrupt,
-                )
-        if parallel is not None:
-            bank.merge(parallel["bank"])
-            drain.stats.absorb(parallel["stats"].as_dict())
+        if self._fused is not None:
+            self._fused_sink.flush()
+            # The buffers' sinks are bound methods of the sink, which
+            # holds the buffers: unhook so nothing outlives the launch
+            # through that cycle.
+            self._fused_sink.detach()
         else:
             drain.feed_buffers(
                 self.memory_buffer, self.block_buffer, self.arith_buffer
@@ -372,7 +344,7 @@ class HookRuntime:
         # state is ever alive at a time.
         bank.seal()
         stats = drain.stats
-        self.profile = KernelProfile(
+        self._complete(KernelProfile(
             kernel=self.kernel,
             host_call_path=self.host_call_path,
             launch_site=self.launch_site,
@@ -396,73 +368,12 @@ class HookRuntime:
             corrupt_records=corrupt,
             aggregates=bank,
             stream_stats=stats.as_dict(),
-        )
-        if self.on_complete is not None:
-            self.on_complete(self.profile)
+        ))
 
-    def _kernel_end_fused(self, launch_result) -> None:
-        """Seal the in-flight bank: the trace was analyzed as it ran.
-
-        Own rows already streamed through the fused sink during
-        execution (only a sub-segment tail remains to flush). Shard
-        states merge first in SM order -- exactly the streaming drain's
-        contract -- which is safe because a fork-parallel launch never
-        dispatches hooks in the parent, so the parent's drain cursors
-        are untouched until this point.
-        """
-        info = self._launch_info or {}
-        bank = self._fused_bank
-        drain = self._fused_drain
-        shard_dropped = shard_spilled = shard_corrupt = 0
-        states, self._shard_states = self._shard_states, []
-        for state in states:
-            acct = state["accounting"]
-            shard_dropped += acct["dropped"]
-            shard_spilled += acct["spilled"]
-            shard_corrupt += acct["corrupt"]
-            if "bank" in state:
-                bank.merge(state["bank"])
-                drain.stats.absorb(state["stats"])
-            else:
-                drain.feed_shard_state(state)
-        self._fused_sink.flush()
-        buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
-        corrupt = (
-            sum(b.corrupt_dropped for b in buffers)
-            + drain.corrupt_rows
-            + shard_corrupt
-        )
-        if corrupt:
-            self._report_corruption(corrupt)
-        bank.seal()
-        stats = drain.stats
-        self.profile = KernelProfile(
-            kernel=self.kernel,
-            host_call_path=self.host_call_path,
-            launch_site=self.launch_site,
-            grid=info.get("grid", (0, 0, 0)),
-            block=info.get("block", (0, 0, 0)),
-            num_ctas=info.get("num_ctas", 0),
-            warps_per_cta=info.get("warps_per_cta", 0),
-            memory_records=StreamedRecords("memory", stats.memory_rows),
-            block_records=StreamedRecords("block", stats.block_rows),
-            arith_records=StreamedRecords("arith", stats.arith_rows),
-            call_paths=self.call_paths,
-            functions_by_id=self.image.functions_by_id,
-            dropped_records=(
-                sum(b.dropped for b in buffers)
-                + drain.clipped
-                + drain.corrupt_rows
-                + shard_dropped
-            ),
-            launch_result=launch_result,
-            spilled_records=sum(b.spilled for b in buffers) + shard_spilled,
-            corrupt_records=corrupt,
-            aggregates=bank,
-            stream_stats=stats.as_dict(),
-        )
+    def _complete(self, profile: KernelProfile) -> None:
+        self.profile = profile
         if self.on_complete is not None:
-            self.on_complete(self.profile)
+            self.on_complete(profile)
 
     def _report_corruption(self, rows: int) -> None:
         """Surface dropped-corrupt-segment rows through the supervisor."""
@@ -510,68 +421,26 @@ class HookRuntime:
                 self._fused_sink = None
 
     def export_shard(self) -> dict:
-        """Pickleable trace state a shard worker sends back."""
-        if self._fused is not None:
-            return self._export_shard_fused()
-        if self._streaming is not None:
-            return self._export_shard_streaming()
-        return {
-            "memory": self.memory_buffer.drain(),
-            "block": self.block_buffer.drain(),
-            "arith": self.arith_buffer.drain(),
-            "paths": list(self.call_paths._paths),
-            "seq_total": self._seq,
-        }
+        """Pickleable trace state a shard worker sends back.
 
-    def _export_shard_streaming(self) -> dict:
-        """Aggregate (or relay) state a streaming shard worker ships.
-
-        With no sampling and no capacity, the kept row set of a shard
-        is exactly its trace, so the worker streams its own buffers
-        through a fresh analyzer bank and ships the *bank* -- the
-        parent merges aggregate-to-aggregate, never touching rows.
-        Otherwise (stride phase / keep-first cutoff depend on
-        predecessor shards' row counts) the worker relays its spill
-        segment **files** plus the in-memory tails, and the parent
-        streams them through its own drain with running cursors.
+        In-RAM launches ship their drained columns. Bank launches ship
+        a bank when the shard's kept rows are exactly its trace (no
+        sampling, no capacity): the fused bank already holds them, a
+        streaming worker drains its own spill through a fresh bank, and
+        the parent merges aggregate-to-aggregate. Otherwise (stride
+        phase / keep-first cutoff depend on predecessor shards' row
+        counts) the worker relays its spill segment **files** plus the
+        in-memory tails, and the parent streams them through its own
+        drain with running cursors.
         """
-        buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
-        state = {
-            "paths": list(self.call_paths._paths),
-            "seq_total": self._seq,
-        }
-        if self.sample_rate == 1 and self._capacity is None:
-            bank = self._streaming.create_bank()
-            on_corrupt = (
-                "drop" if self._spill is None else self._spill.on_corrupt
-            )
-            drain = StreamDrain(bank, 1, None, on_corrupt)
-            drain.feed_buffers(
-                self.memory_buffer, self.block_buffer, self.arith_buffer
-            )
-            state["bank"] = bank
-            state["stats"] = drain.stats.as_dict()
-        else:
-            state["memory"] = self.memory_buffer.export_stream_state()
-            state["block"] = self.block_buffer.export_stream_state()
-            state["arith"] = self.arith_buffer.export_stream_state()
-        # After the feed / detach, so worker-side corrupt drops count.
-        state["accounting"] = {
-            "dropped": sum(b.dropped for b in buffers),
-            "spilled": sum(b.spilled for b in buffers),
-            "corrupt": sum(b.corrupt_dropped for b in buffers),
-        }
-        return state
-
-    def _export_shard_fused(self) -> dict:
-        """State a fused shard worker ships back to the parent.
-
-        Mirrors :meth:`_export_shard_streaming`: with no sampling and
-        no capacity the worker's rows already live in its fused bank
-        (flush the tail, ship the bank); otherwise the worker
-        materialized rows in RAM and relays them as a tail-only stream
-        state for the parent's drain.
-        """
+        if self._fused is None and self._streaming is None:
+            return {
+                "memory": self.memory_buffer.drain(),
+                "block": self.block_buffer.drain(),
+                "arith": self.arith_buffer.drain(),
+                "paths": list(self.call_paths._paths),
+                "seq_total": self._seq,
+            }
         buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
         state = {
             "paths": list(self.call_paths._paths),
@@ -579,12 +448,20 @@ class HookRuntime:
         }
         if self._fused_sink is not None:
             self._fused_sink.flush()
+            self._fused_sink.detach()
             state["bank"] = self._fused_bank
             state["stats"] = self._fused_drain.stats.as_dict()
+        elif (self._streaming is not None and self.sample_rate == 1
+              and self._capacity is None):
+            bank = self._streaming.create_bank()
+            drain = StreamDrain(bank, 1, None, self._on_corrupt)
+            drain.feed_buffers(*buffers)
+            state["bank"] = bank
+            state["stats"] = drain.stats.as_dict()
         else:
-            state["memory"] = self.memory_buffer.export_stream_state()
-            state["block"] = self.block_buffer.export_stream_state()
-            state["arith"] = self.arith_buffer.export_stream_state()
+            for kind, buffer in zip(("memory", "block", "arith"), buffers):
+                state[kind] = buffer.export_stream_state()
+        # After the feed / detach, so worker-side corrupt drops count.
         state["accounting"] = {
             "dropped": sum(b.dropped for b in buffers),
             "spilled": sum(b.spilled for b in buffers),

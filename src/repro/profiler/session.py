@@ -47,9 +47,9 @@ class ProfilingSession:
     ``fused`` takes the same kind of plan but analyzes rows *during*
     execution: buffered rows flush into the bank at segment granularity
     and the trace is never spilled or drained at all -- byte-identical
-    results, minus the round-trip. ``drain_workers`` widens the
-    kernel-exit drain of *streaming* (spill) launches across forked
-    analyzer banks when no sampling/capacity is in play.
+    results, minus the round-trip. This is how
+    :class:`~repro.optim.advisor.CUDAAdvisor` profiles unless asked to
+    keep records. With neither plan, launches materialize their trace.
     """
 
     def __init__(self, buffer_capacity: Optional[int] = None,
@@ -58,8 +58,7 @@ class ProfilingSession:
                  spill_rows: int = 65536,
                  spill: Optional[SpillConfig] = None,
                  streaming=None,
-                 fused=None,
-                 drain_workers: Optional[int] = None):
+                 fused=None):
         SESSION_COUNTERS["sessions_created"] += 1
         self.buffer_capacity = buffer_capacity
         self.sample_rate = sample_rate
@@ -68,16 +67,21 @@ class ProfilingSession:
         self.spill = spill
         self.streaming = streaming
         self.fused = fused
-        self.drain_workers = drain_workers
         self.profiles: List[KernelProfile] = []
         self.host_buffers: List[HostBuffer] = []
         self.device_allocations: List[DeviceAllocationRecord] = []
         self.memcpys: List[MemcpyRecord] = []
-        self.runtime = None
+        #: the device the attached runtime launches on (its supervisor
+        #: holds the run's degradation events).
+        self.device = None
 
     # -- runtime event sinks ----------------------------------------------------
     def attach_runtime(self, runtime) -> None:
-        self.runtime = runtime
+        # Only the device is kept: the runtime holds this session as
+        # its profiler, and a reference back would form a cycle that
+        # keeps a dropped report's device (and its memory arena) alive
+        # until the cyclic collector runs.
+        self.device = runtime.device
 
     def on_host_malloc(self, buf: HostBuffer) -> None:
         self.host_buffers.append(buf)
@@ -106,7 +110,6 @@ class ProfilingSession:
             spill=self.spill,
             streaming=self.streaming,
             fused=self.fused,
-            drain_workers=self.drain_workers,
         )
         hooks.on_complete = self.profiles.append
         return hooks

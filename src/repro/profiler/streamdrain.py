@@ -27,13 +27,13 @@ no sampling/capacity applies -- see ``HookRuntime.export_shard``) or
 relay their spill-segment *files* plus in-memory tails for the parent
 to stream (:meth:`StreamDrain.feed_shard_state`), keeping the merge at
 O(segment) too.
+
+:class:`FusedSink` drives the same drain *during* execution -- the
+default way every profile is analyzed.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
 from typing import Dict, Iterator, Optional
 
 import numpy as np
@@ -46,12 +46,13 @@ _EMPTY_SEQ = np.zeros(0, dtype=np.int64)
 
 
 class StreamedRecords:
-    """Placeholder for a trace consumed by the streaming drain.
+    """Placeholder for a trace analyzed through an analyzer bank.
 
     The kept-row count survives (``len()`` keeps buffer accounting,
     statistics and benchmarks working); the records themselves were
-    streamed through the analyzer bank and never materialized, so
-    element access raises with a pointer at ``profile.aggregates``.
+    streamed through the bank (in flight, or by the streaming drain)
+    and never materialized, so element access raises with a pointer at
+    ``profile.aggregates`` and at ``keep_records=True``.
     """
 
     __slots__ = ("kind", "rows")
@@ -65,10 +66,10 @@ class StreamedRecords:
 
     def _gone(self):
         raise ProfilerError(
-            f"the {self.kind} trace was consumed by the streaming drain "
-            f"and is not materialized; read results from "
-            f"profile.aggregates, or profile with streaming disabled to "
-            f"keep raw records"
+            f"the {self.kind} trace was analyzed in flight (or by the "
+            f"streaming drain) and is not materialized; read results "
+            f"from profile.aggregates, or profile with "
+            f"CUDAAdvisor(keep_records=True) to keep raw records"
         )
 
     def __getitem__(self, i):
@@ -390,153 +391,3 @@ class FusedSink:
             drain._emit(mem, np.flatnonzero(keep[: m_seq.size]), "memory")
         if ari is not None:
             drain._emit(ari, np.flatnonzero(keep[m_seq.size:]), "arith")
-
-
-# -- fork-parallel segment drain -------------------------------------------
-
-
-def _sm_slice(seg, num_sms: int, lo: int, hi: int):
-    """The rows of ``seg`` whose CTA runs on an SM in ``[lo, hi)``."""
-    home = seg.cta.astype(np.int64) % num_sms
-    sel = np.flatnonzero((home >= lo) & (home < hi))
-    if sel.size == len(seg):
-        return seg
-    return seg.take(sel)
-
-
-def _drain_partition(plan, paths: Dict[str, list], tails: Dict[str, object],
-                     num_sms: int, lo: int, hi: int):
-    """One worker's share: scan every segment, analyze one SM range.
-
-    Segment files are read **without deleting** (the parent owns them;
-    a failed worker must leave the serial fallback a complete stream)
-    and corrupt segments are skipped with per-stream row accounting --
-    the parent applies worker 0's counts once, exactly as the serial
-    relay would.
-    """
-    bank = plan.create_bank()
-    drain = StreamDrain(bank, 1, None, "drop")
-    corrupt = {"memory": 0, "block": 0, "arith": 0}
-
-    def filtered(kind: str):
-        view = _VIEWS[kind]
-        for path in paths[kind]:
-            try:
-                payload = read_segment(path)
-            except TraceCorruptionError as exc:
-                corrupt[kind] += exc.rows
-                continue
-            yield _sm_slice(view(payload), num_sms, lo, hi)
-        tail = tails[kind]
-        if tail is not None and len(tail):
-            yield _sm_slice(tail, num_sms, lo, hi)
-
-    drain._feed(filtered("memory"), filtered("arith"), filtered("block"))
-    return {"bank": bank, "stats": drain.stats.as_dict(), "corrupt": corrupt}
-
-
-def parallel_segment_drain(plan, memory_buffer, block_buffer, arith_buffer,
-                           num_sms: int, workers: int,
-                           on_corrupt: str = "drop") -> Optional[dict]:
-    """Drain spilled segments through forked workers, bank-to-bank.
-
-    The trace of any launch is SM-major (serial execution runs SMs in
-    sorted order, and the batched backend replays byte-identically), so
-    partitioning rows by contiguous SM ranges yields the same disjoint,
-    concatenation-ordered partition the fork-parallel *launch* shards
-    produce -- and the pinned shard bank-merge semantics make merging
-    the workers' banks in range order byte-identical to the serial
-    relay. Every worker scans all segment files but analyzes only its
-    CTA slice: the analyzers, not the I/O, dominate drain time.
-
-    Returns ``None`` -- with the buffers untouched, so the caller's
-    serial drain still sees a complete stream -- when forking is
-    unavailable, there is nothing on disk, or any worker fails (or
-    reports corruption under ``on_corrupt="raise"``, which the serial
-    relay must surface). On success the buffers are consumed: segment
-    files deleted, tails released, corrupt rows accounted per buffer.
-    """
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or not hasattr(os, "fork")):
-        return None
-    buffers = {
-        "memory": memory_buffer, "block": block_buffer, "arith": arith_buffer,
-    }
-    paths = {kind: list(b._segments) for kind, b in buffers.items()}
-    if not any(paths.values()):
-        return None  # nothing spilled: the serial drain is already cheap
-    # Peek at the in-memory tails without consuming them (fork shares
-    # the views copy-on-write; on failure the buffers stay intact).
-    tails = {
-        kind: (
-            b._view(b._spill_payload())
-            if b._cols is not None and b._n else None
-        )
-        for kind, b in buffers.items()
-    }
-    nparts = max(2, min(int(workers), num_sms))
-    bounds = [num_sms * i // nparts for i in range(nparts + 1)]
-    children = []
-    for part in range(nparts):
-        rfd, wfd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # worker
-            os.close(rfd)
-            status = 1
-            try:
-                result = _drain_partition(
-                    plan, paths, tails, num_sms,
-                    bounds[part], bounds[part + 1],
-                )
-                blob = pickle.dumps(
-                    result, protocol=pickle.HIGHEST_PROTOCOL
-                )
-                with os.fdopen(wfd, "wb") as f:
-                    f.write(blob)
-                status = 0
-            except BaseException:
-                pass
-            finally:
-                os._exit(status)
-        os.close(wfd)
-        children.append((pid, rfd))
-    results = []
-    ok = True
-    for pid, rfd in children:
-        blob = b""
-        try:
-            with os.fdopen(rfd, "rb") as f:
-                blob = f.read()
-        except OSError:
-            blob = b""
-        _, code = os.waitpid(pid, 0)
-        if code != 0 or not blob:
-            ok = False
-            continue
-        try:
-            results.append(pickle.loads(blob))
-        except Exception:
-            ok = False
-    if not ok or len(results) != nparts:
-        return None
-    corrupt = results[0]["corrupt"]  # every worker saw the same files
-    if on_corrupt == "raise" and any(corrupt.values()):
-        return None  # serial relay re-reads and raises properly
-    bank = plan.create_bank()
-    stats = StreamStats()
-    for result in results:  # SM-range order == shard-merge order
-        bank.merge(result["bank"])
-        stats.absorb(result["stats"])
-    # Consume the buffers: the accounting mirrors what the serial
-    # relay's _stream_read_segments would have recorded.
-    for kind, b in buffers.items():
-        for path in paths[kind]:
-            discard_segment(path)
-        b._segments = []
-        b._spilled_rows = 0
-        b.corrupt_dropped += corrupt[kind]
-        b.dropped += corrupt[kind]
-        b._reset_memory()
-        b._n = 0
-        b._alloc = 0
-    return {"bank": bank, "stats": stats}

@@ -90,7 +90,7 @@ _SPEC_FIELDS = (
 #: execution-hint keys forwarded to the worker (never part of the key).
 _HINT_FIELDS = (
     "backend", "parallel_workers", "failure_policy", "spill_dir",
-    "spill_rows", "streaming_drain", "fused_drain", "drain_workers",
+    "spill_rows",
 )
 
 
@@ -203,7 +203,7 @@ class ProfilingService:
 
         ``config`` may carry result-shaping knobs (``modes``, ``arch``,
         ``sample_rate``, ``heatmap``...; these feed the cache key) and
-        execution hints (``backend``, ``streaming_drain``...; these do
+        execution hints (``backend``, ``parallel_workers``...; these do
         not).  A cache hit resolves the handle before ``submit``
         returns; an identical in-flight spec is coalesced instead of
         re-simulated.

@@ -36,11 +36,10 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
     """Execute one profiling job; returns ``{"payload", "launches"}``.
 
     ``hints`` carries execution knobs that may change *how* the job
-    runs but never its payload bytes (backend, shard workers, spill,
-    streaming or fused drain) -- the export document is drain-invariant
-    by construction, which this function leans on. Jobs run **fused by
-    default** (analysis in flight, no trace round-trip); pass
-    ``streaming_drain`` or ``fused_drain: False`` to opt out.
+    runs but never its payload bytes (backend, shard workers, failure
+    policy, spill) -- the export document is invariant under all of
+    them by construction, which this function leans on. Jobs analyze in
+    flight, like every :class:`CUDAAdvisor` profile.
     """
     hints = hints or {}
     if spec.arch not in SERVICE_ARCHES:
@@ -65,11 +64,6 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
         failure_policy=hints.get("failure_policy"),
         spill_dir=hints.get("spill_dir"),
         spill_rows=hints.get("spill_rows") or 65536,
-        streaming_drain=bool(hints.get("streaming_drain")),
-        fused_drain=bool(
-            hints.get("fused_drain", not hints.get("streaming_drain"))
-        ),
-        drain_workers=hints.get("drain_workers"),
         **kwargs,
     )
     report = advisor.profile(build_app(spec.app, **dict(spec.app_kwargs)))

@@ -1,5 +1,7 @@
 """Tests for the CLI (the artifact's run/showoutput workflow)."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -58,21 +60,21 @@ class TestProfile:
         assert main(["profile", "nn", "--workers", "0"]) == 2
         assert "--workers must be >= 1" in capsys.readouterr().err
 
-    def test_fused_and_streaming_drain_rejected(self, capsys):
-        assert main([
-            "profile", "nn", "--fused", "--streaming-drain",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert "--fused and --streaming-drain are mutually exclusive" in err
-
-    def test_bad_drain_workers_rejected(self, capsys):
-        assert main(["profile", "nn", "--drain-workers", "0"]) == 2
-        assert "--drain-workers must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [
+        "--fused", "--streaming-drain", "--drain-workers=2",
+    ])
+    def test_removed_drain_flags_rejected(self, capsys, flag):
+        # In-flight analysis is the only analysis path now; the old
+        # per-path switches are usage errors, not silent no-ops.
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "nn", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_profile_fused(self, capsys):
+        # Profiles analyze in flight by default: no flag needed.
         code = main([
-            "profile", "nn", "--fused", "--modes", "memory,blocks",
-            "--no-overhead",
+            "profile", "nn", "--modes", "memory,blocks", "--no-overhead",
         ])
         assert code == 0
         out = capsys.readouterr().out

@@ -4,9 +4,10 @@
   the bundled JSON Schema (with the in-tree validator, cross-checked
   against the real ``jsonschema`` package when importable), reload the
   JSON and compare key metrics against the source ``AdvisorReport``.
-* **Determinism**: the default document is byte-identical between the
-  in-RAM and streaming drains (the contract downstream tools rely on);
-  the opt-in ``runtime`` section is the only part allowed to differ.
+* **Determinism**: the default (in-flight) document is byte-identical
+  to one from a profile that kept its records in RAM (the contract
+  downstream tools rely on); the opt-in ``runtime`` section is the
+  only part allowed to differ.
 * **CLI**: ``repro export`` writes a validating document,
   ``repro profile --format json`` emits the same document shape, the
   legacy ``--json`` summary still works, and ``--verbose`` renders the
@@ -15,6 +16,7 @@
   break type, required, enum, pattern and additional-property rules.
 """
 
+import functools
 import json
 
 import pytest
@@ -37,13 +39,8 @@ from repro.optim.advisor import CUDAAdvisor
 MODES = ("memory", "blocks", "arith")
 
 
-def _profile(app="nn", streaming=False, **kwargs):
-    advisor = CUDAAdvisor(
-        modes=MODES,
-        streaming_drain=streaming,
-        heatmap=True,
-        **kwargs,
-    )
+def _profile(app="nn", **kwargs):
+    advisor = CUDAAdvisor(modes=MODES, heatmap=True, **kwargs)
     return advisor.profile(build_app(app))
 
 
@@ -136,14 +133,14 @@ class TestDocument:
 class TestDrainIdentity:
     @pytest.mark.parametrize("app", ["nn", "bfs"])
     def test_in_ram_and_streaming_exports_byte_identical(self, app):
-        in_ram = export_json(profile_export(_profile(app)))
-        streamed = export_json(
-            profile_export(_profile(app, streaming=True))
+        in_ram = export_json(
+            profile_export(_profile(app, keep_records=True))
         )
+        streamed = export_json(profile_export(_profile(app)))
         assert in_ram == streamed
 
     def test_streaming_doc_validates_and_has_heatmap(self):
-        doc = profile_export(_profile("nn", streaming=True))
+        doc = profile_export(_profile("nn"))
         validate(doc)
         assert doc["heatmap"]["total_accesses"] > 0
 
@@ -228,8 +225,13 @@ class TestCLI:
         assert "### memory heat map" in out
         assert "d_locations" in out
 
-    def test_verbose_renders_empty_sections(self, capsys):
-        # The satellite fix: both sections appear even when empty.
+    def test_verbose_renders_empty_sections(self, capsys, monkeypatch):
+        # The satellite fix: both sections appear even when empty. The
+        # streaming section is only empty when records are kept.
+        monkeypatch.setattr(
+            "repro.cli.CUDAAdvisor",
+            functools.partial(CUDAAdvisor, keep_records=True),
+        )
         assert main(["profile", "nn", "--verbose", "--no-overhead"]) == 0
         out = capsys.readouterr().out
         assert "### jit trace cache" in out
@@ -240,7 +242,7 @@ class TestCLI:
     def test_verbose_renders_populated_sections(self, capsys):
         assert main([
             "profile", "nn", "--verbose", "--no-overhead",
-            "--backend", "batched", "--streaming-drain",
+            "--backend", "batched",
         ]) == 0
         out = capsys.readouterr().out
         assert "hit rate" in out

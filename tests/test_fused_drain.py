@@ -1,23 +1,19 @@
 """Fused in-flight analysis: byte-identity without the trace round-trip.
 
 The fused path (``FusedSink`` + the analyzer bank) must reproduce the
-batch analyzers exactly while never materializing or spilling a trace;
-the fork-parallel segment drain must reproduce the serial streaming
-drain while splitting the work across SM-range partitions:
+analyses of a materialized trace exactly while never materializing or
+spilling one:
 
 * **Property tests** (hypothesis) push random interleaved
   memory/block/arith event streams through fused buffers at tiny flush
-  granularities (down to one row) and through the parallel segment
-  drain at tiny segment sizes, comparing every aggregate of the full
-  plan against the batch analyzers -- including stride-sampling phases
-  and keep-first capacity across flush boundaries.
+  granularities (down to one row), comparing every aggregate of the
+  full plan against the materialized trace -- including
+  stride-sampling phases and keep-first capacity across flush
+  boundaries.
 * **App-level tests** run instrumented programs twice (fused vs
-  in-RAM, parallel-drain vs in-RAM) across serial / batched /
-  fork-parallel configurations and assert identical analyses and
-  accounting -- and that the fused spill directory stays empty.
-* **Chaos** combines ``corrupt_spill`` with the parallel segment
-  drain: drop accounting and analyses must match the in-RAM run, and
-  the strict policy must still raise through the serial relay.
+  in-RAM) across serial / batched / fork-parallel configurations and
+  assert identical analyses and accounting -- and that the fused spill
+  directory stays empty.
 * **Degradation**: a launch that needs raw records (pc sampling)
   disables fused mode with a ``fused-records-unavailable`` warning and
   materializes the trace like a classic run.
@@ -33,17 +29,11 @@ from hypothesis import strategies as st
 
 from repro.analysis.aggregates import full_plan
 from repro.apps import build_app
-from repro.errors import (
-    AnalysisError,
-    LaunchDegradedWarning,
-    ProfilerError,
-    TraceCorruptionError,
-)
+from repro.errors import LaunchDegradedWarning, ProfilerError
 from repro.frontend.dsl import compile_kernels
 from repro.gpu.arch import KEPLER_K40C
 from repro.gpu.device import Device
 from repro.host.runtime import CudaRuntime
-from repro.optim.advisor import CUDAAdvisor
 from repro.passes.pipeline import (
     instrumentation_pipeline,
     optimization_pipeline,
@@ -58,13 +48,7 @@ from repro.profiler.buffers import (
 from repro.profiler.pc_sampling import PCSampler
 from repro.profiler.profiler import HookRuntime
 from repro.profiler.session import ProfilingSession
-from repro.profiler.streamdrain import (
-    FusedSink,
-    StreamDrain,
-    parallel_segment_drain,
-)
-from repro.reliability.faultinject import FaultInjector
-from repro.reliability.spill import SpillConfig
+from repro.profiler.streamdrain import FusedSink, StreamDrain
 from repro.reliability.supervisor import FUSED_RECORDS_UNAVAILABLE
 from tests.conftest import KERNELS
 from tests.test_streaming_drain import (
@@ -74,7 +58,6 @@ from tests.test_streaming_drain import (
     _assert_bank_matches_batch,
     _assert_sessions_match,
     _batch_profile,
-    _build_buffers,
     _EVENTS,
 )
 
@@ -140,47 +123,12 @@ class TestFusedSinkProperty:
         assert drain.stats.block_rows == len(b)
 
 
-class TestParallelSegmentDrainProperty:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        events=_EVENTS,
-        segment_rows=st.integers(1, 9),
-        num_sms=st.integers(2, 4),
-        workers=st.integers(2, 3),
-    )
-    def test_matches_batch_across_partitions(
-        self, tmp_path_factory, events, segment_rows, num_sms, workers
-    ):
-        # Real traces are SM-major (the interpreter runs SMs in index
-        # order), which is what makes SM-range partitions contiguous
-        # row blocks; the synthetic stream mirrors that shape.
-        events = sorted(events, key=lambda e: e[1] % num_sms)
-        directory = str(tmp_path_factory.mktemp("pdrain"))
-        spill = SpillConfig(directory=directory, segment_rows=segment_rows)
-        mem, block, arith = _build_buffers(events, spill)
-        plan = full_plan(LINE_SIZE)
-        result = parallel_segment_drain(
-            plan, mem, block, arith, num_sms, workers
-        )
-        if result is None:
-            # Nothing spilled, so the parallel path declines -- and
-            # must leave the buffers intact for the serial relay.
-            bank = plan.create_bank()
-            StreamDrain(bank).feed_buffers(mem, block, arith)
-            _assert_bank_matches_batch(bank, _batch_profile(events))
-            return
-        _assert_bank_matches_batch(result["bank"], _batch_profile(events))
-        # Segments are consumed: files gone, buffers empty.
-        assert not os.listdir(directory)
-        assert len(mem) == len(block) == len(arith) == 0
-
-
 # -- app-level equivalence ------------------------------------------------------
 
 
 def _session(app, streaming=False, fused=False, workers=None, backend=None,
              sample_rate=1, capacity=None, spill_dir=None, spill_rows=64,
-             drain_workers=None, configure=None):
+             configure=None):
     app_name, app_kwargs = app
     program = build_app(app_name, **app_kwargs)
     module = compile_kernels(list(program.kernels), app_name)
@@ -193,7 +141,6 @@ def _session(app, streaming=False, fused=False, workers=None, backend=None,
         spill_rows=spill_rows,
         streaming=full_plan(LINE_SIZE) if streaming else None,
         fused=full_plan(LINE_SIZE) if fused else None,
-        drain_workers=drain_workers,
     )
     device = Device(KEPLER_K40C)
     if workers is not None:
@@ -272,75 +219,6 @@ class TestFusedApps:
                 assert a.frequencies == b.frequencies
 
 
-class TestParallelDrainApps:
-    def test_engages_and_matches_in_ram(self, tmp_path):
-        app = APPS[0]
-        in_ram, _ = _session(app, spill_dir=str(tmp_path / "a"))
-        serial, _ = _session(
-            app, streaming=True, spill_dir=str(tmp_path / "b"),
-            spill_rows=32,
-        )
-        parallel, _ = _session(
-            app, streaming=True, spill_dir=str(tmp_path / "c"),
-            spill_rows=32, drain_workers=2,
-        )
-        _assert_sessions_match(in_ram, parallel)
-        assert not os.listdir(tmp_path / "c")
-        # Engagement proof: every partition worker scans every segment
-        # file, so the parallel counter is a multiple of the serial one.
-        serial_segments = sum(
-            p.stream_stats["segments_streamed"] for p in serial.profiles
-        )
-        parallel_segments = sum(
-            p.stream_stats["segments_streamed"] for p in parallel.profiles
-        )
-        assert parallel_segments > serial_segments
-
-    def test_sampling_declines_parallel_drain(self, tmp_path):
-        # Global stride phase needs global order: the parallel path
-        # must decline and the serial drain must still be exact.
-        app = APPS[0]
-        in_ram, _ = _session(app, sample_rate=3)
-        parallel, _ = _session(
-            app, streaming=True, sample_rate=3,
-            spill_dir=str(tmp_path), spill_rows=32, drain_workers=2,
-        )
-        _assert_sessions_match(in_ram, parallel)
-
-
-class TestChaosParallelDrain:
-    def _corrupting(self, device):
-        device.fault_injector = (
-            FaultInjector()
-            .inject("buffer_overflow", segment_rows=128)
-            .inject("corrupt_spill", when={"kind": "memory", "segment": 0})
-        )
-
-    def test_corrupt_spill_matches_in_ram_accounting(self):
-        with pytest.warns(LaunchDegradedWarning, match="corrupted spill"):
-            in_ram, _ = _session(APPS[1], configure=self._corrupting)
-        with pytest.warns(LaunchDegradedWarning, match="corrupted spill"):
-            parallel, _ = _session(
-                APPS[1], streaming=True, drain_workers=2,
-                configure=self._corrupting,
-            )
-        _assert_sessions_match(in_ram, parallel)
-        lost = sum(p.corrupt_records for p in parallel.profiles)
-        assert lost > 0
-        assert sum(p.dropped_records for p in parallel.profiles) >= lost
-
-    def test_strict_policy_raises_through_serial_relay(self):
-        def configure(device):
-            device.failure_policy = "strict"
-            self._corrupting(device)
-
-        with pytest.raises(TraceCorruptionError):
-            _session(
-                APPS[1], streaming=True, drain_workers=2,
-                configure=configure,
-            )
-
-
 # -- degradation: launches that need raw records --------------------------------
 
 
@@ -383,7 +261,3 @@ class TestFusedDegradation:
             HookRuntime(img, "strided_sum", (), "x",
                         fused=full_plan(LINE_SIZE),
                         streaming=full_plan(LINE_SIZE))
-
-    def test_advisor_rejects_both_drains(self):
-        with pytest.raises(AnalysisError, match="mutually exclusive"):
-            CUDAAdvisor(streaming_drain=True, fused_drain=True)

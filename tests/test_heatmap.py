@@ -284,7 +284,7 @@ class TestAppLevel:
             adv = CUDAAdvisor(
                 modes=("memory", "blocks"),
                 measure_overhead=False,
-                streaming_drain=streaming,
+                keep_records=not streaming,
                 heatmap=True,
             )
             report = adv.profile(build_app(app_name))

@@ -1,5 +1,9 @@
 """Tests for the profiler: hook runtime, shadow stacks, code-centric and
-data-centric attribution, trace buffers, cross-instance statistics."""
+data-centric attribution, trace buffers, cross-instance statistics,
+and the release of a finished profile by reference counting."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,11 +13,13 @@ from repro.analysis.statistics import (
     metric_cycles,
     metric_memory_events,
 )
+from repro.apps import build_app
 from repro.errors import ProfilerError
 from repro.frontend import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
 from repro.host import CudaRuntime, host_function
 from repro.host.shadow_stack import GLOBAL_HOST_STACK, HostShadowStack, HostFrame
+from repro.optim.advisor import CUDAAdvisor
 from repro.passes import instrumentation_pipeline, optimization_pipeline
 from repro.profiler import (
     DeviceTraceBuffer,
@@ -319,3 +325,46 @@ class TestStatisticsMetrics:
         assert stats.minimum == 1.0
         assert stats.maximum == 3.0
         assert stats.stddev == pytest.approx((2 / 3) ** 0.5)
+
+
+class TestReleasedByRefcount:
+    """A dropped report frees its devices without the cyclic collector.
+
+    Each Device owns a zeroed multi-megabyte memory arena; a reference
+    cycle anywhere between the report and a device would keep the arena
+    alive until the next gc pass, which shows up as peak RSS when many
+    profiles run back to back.
+    """
+
+    @pytest.mark.parametrize("knobs", [
+        {},
+        {"keep_records": True},
+        {"backend": "batched"},
+        {"parallel_workers": 2},
+        {"failure_policy": "strict"},
+    ], ids=["in-flight", "keep-records", "batched", "fork-shards", "strict"])
+    def test_dropped_report_frees_its_devices(self, monkeypatch, knobs):
+        devices = []
+        fresh = CUDAAdvisor._fresh_runtime
+
+        def tracked(advisor, profiler=None):
+            runtime = fresh(advisor, profiler)
+            devices.append(weakref.ref(runtime.device))
+            return runtime
+
+        monkeypatch.setattr(CUDAAdvisor, "_fresh_runtime", tracked)
+        advisor = CUDAAdvisor(modes=("memory", "blocks"), heatmap=True,
+                              **knobs)
+        program = build_app("bfs", num_nodes=256)
+        gc.collect()
+        gc.disable()
+        try:
+            report = advisor.profile(program)
+            assert report.to_dict()["advice"]
+            # Baseline device: freed on return. Profiled device: alive
+            # for the report's degradation events, until it is dropped.
+            assert [ref() is None for ref in devices] == [True, False]
+            del report
+            assert [ref() for ref in devices] == [None, None]
+        finally:
+            gc.enable()

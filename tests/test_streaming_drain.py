@@ -1,7 +1,11 @@
 """Streaming out-of-core drain: byte-identity with the in-RAM path.
 
 The streaming drain (``profiler/streamdrain.py`` +
-``analysis/aggregates.py``) must reproduce the batch analyzers exactly:
+``analysis/aggregates.py``) must reproduce the analyses of the
+materialized trace exactly (the public analyzers, which feed it through
+the same aggregates as one segment -- so these properties pin
+segmentation invariance; ``tests/test_differential.py`` holds the
+record-at-a-time oracles):
 
 * **Property tests** (hypothesis) drive random interleaved
   memory/block/arith event streams through spilled buffers with tiny
@@ -147,7 +151,7 @@ def _assert_hist_equal(a, b, what=""):
 
 
 def _assert_bank_matches_batch(bank, profile):
-    """Every full-plan aggregate == its batch analyzer, byte for byte."""
+    """Every full-plan aggregate == its whole-trace analysis, byte for byte."""
     for name, model in (
         ("reuse_element", ReuseDistanceModel.ELEMENT),
         ("reuse_cache_line", ReuseDistanceModel.CACHE_LINE),
