@@ -31,23 +31,24 @@ Usage::
     --fused             measure analysis wall time instead of raw
                         simulator speed: for each FUSED_APPS entry,
                         time execute+analyze end-to-end under the
-                        classic in-RAM batch path, kept records, the
-                        streaming drain and the fused in-flight path,
-                        and record per-app ``vs_inram`` / ``vs_keep`` /
-                        ``vs_stream`` speedups in a ``fused`` section
-                        of the results file. With --floor R, exit
-                        nonzero if any app's fused ``vs_inram`` speedup
-                        falls below R (the fused CI perf gate)
-    --rss               measure drain peak RSS instead of speed: each
-                        configuration runs in a forked child and reports
-                        its instrumentation-attributable ru_maxrss
-                        delta (instrumented minus an uninstrumented run
-                        at the same input). Exercises the paper-scale
-                        RSS_APPS inputs (>=4x the registry defaults) and
-                        exits nonzero if the streaming drain exceeds its
-                        per-app ceiling or fails to stay below the
-                        in-RAM drain at the *current* (unscaled) input
-                        sizes (the O(segment) CI gate)
+                        classic in-RAM batch path, kept records and the
+                        fused in-flight path, and record per-app
+                        ``vs_inram`` / ``vs_keep`` speedups in a
+                        ``fused`` section of the results file. With
+                        --floor R, exit nonzero if any app's fused
+                        ``vs_inram`` speedup falls below R (the fused
+                        CI perf gate)
+    --rss               measure analysis peak RSS instead of speed:
+                        each configuration runs in a forked child and
+                        reports its instrumentation-attributable
+                        ru_maxrss delta (instrumented minus an
+                        uninstrumented run at the same input).
+                        Exercises the paper-scale RSS_APPS inputs (>=4x
+                        the registry defaults) and exits nonzero if
+                        in-flight analysis exceeds its per-app ceiling
+                        or fails to stay below kept records at the
+                        *current* (unscaled) input sizes (the
+                        O(flush window) CI gate)
 
 The JSON keeps two sections per configuration key: ``baseline``
 (written once per era with --update-baseline, e.g. before a perf PR
@@ -65,7 +66,6 @@ import json
 import os
 import resource
 import sys
-import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -96,6 +96,7 @@ from repro.gpu.device import Device
 from repro.host.runtime import CudaRuntime
 from repro.passes.pipeline import instrumentation_pipeline, optimization_pipeline
 from repro.profiler.session import ProfilingSession
+from repro.profiler.streamdrain import FLUSH_ROWS
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 RESULT_FILE = os.path.join(RESULTS_DIR, "BENCH_simulator.json")
@@ -117,8 +118,8 @@ INSTRUMENT_MODES = ["memory", "blocks", "arith"]
 #: default input, ``scaled`` grows the *trace* by >= 4x (via steps /
 #: iterations where the app supports it, so analyzer cursor state --
 #: which is O(distinct footprint), not O(trace) -- stays comparable),
-#: and ``ceiling_kb`` is the absolute backstop for the streaming
-#: drain's attributable RSS at the scaled input.
+#: and ``ceiling_kb`` is the absolute backstop for the attributable RSS
+#: of in-flight analysis at the scaled input.
 RSS_APPS: Dict[str, dict] = {
     "bfs": {
         "small": {"num_nodes": 2048},
@@ -169,13 +170,8 @@ FUSED_APPS: Dict[str, dict] = {
     "bfs": {"num_nodes": 8192},
 }
 
-#: Cache-line size handed to the drain-time analyzers in --rss runs.
+#: Cache-line size handed to the analyzers in --rss / --fused runs.
 RSS_LINE_SIZE = 128
-
-#: Spill segment size for --rss runs: big enough that segment framing
-#: is not the bottleneck, small enough that O(segment) is visibly
-#: smaller than the full trace.
-RSS_SPILL_ROWS = 2048
 
 
 def _run_app(
@@ -311,10 +307,10 @@ def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
 
     ``mode`` is ``plain`` (uninstrumented), ``inram`` (instrumented,
     trace materialized, the advisor's analyses over it -- the
-    ``keep_records`` mode) or
-    ``stream`` (instrumented, streaming drain through an
-    :func:`advisor_plan` analyzer bank). The child records its
-    ``ru_maxrss`` before and after the run; since maxrss is a
+    ``keep_records`` mode) or ``fused`` (instrumented, rows analyzed in
+    flight through an :func:`advisor_plan` analyzer bank at the
+    built-in flush size -- the default profile path). The child records
+    its ``ru_maxrss`` before and after the run; since maxrss is a
     high-water mark, the delta is exactly the memory the run grew the
     child by on top of the (copy-on-write, parent-resident) imports.
     """
@@ -325,35 +321,29 @@ def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
         try:
             os.close(read_fd)
             start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            with tempfile.TemporaryDirectory() as spill_dir:
-                app = build_app(app_name, **app_kwargs)
-                module = compile_kernels(list(app.kernels), app_name)
-                optimization_pipeline().run(module)
-                session = None
-                if mode != "plain":
-                    instrumentation_pipeline(INSTRUMENT_MODES).run(module)
-                    plan = None
-                    if mode == "stream":
-                        plan = advisor_plan(RSS_LINE_SIZE, INSTRUMENT_MODES)
-                    session = ProfilingSession(
-                        spill_dir=spill_dir,
-                        spill_rows=RSS_SPILL_ROWS,
-                        streaming=plan,
-                    )
-                device = Device(KEPLER_K40C)
-                rt = CudaRuntime(device, profiler=session)
-                image = device.load_module(module)
-                state = app.prepare(rt)
-                app.run(rt, image, state)
-                # Force the same analyses on both drain paths so the
-                # comparison is analyzers-vs-analyzers, not
-                # analyzers-vs-nothing.
-                if mode == "stream":
-                    for profile in session.profiles:
-                        profile.aggregates.results()
-                elif mode == "inram":
-                    for profile in session.profiles:
-                        _kept_record_analyses(profile)
+            app = build_app(app_name, **app_kwargs)
+            module = compile_kernels(list(app.kernels), app_name)
+            optimization_pipeline().run(module)
+            session = None
+            if mode != "plain":
+                instrumentation_pipeline(INSTRUMENT_MODES).run(module)
+                plan = None
+                if mode == "fused":
+                    plan = advisor_plan(RSS_LINE_SIZE, INSTRUMENT_MODES)
+                session = ProfilingSession(fused=plan)
+            device = Device(KEPLER_K40C)
+            rt = CudaRuntime(device, profiler=session)
+            image = device.load_module(module)
+            state = app.prepare(rt)
+            app.run(rt, image, state)
+            # Force the same analyses on both paths so the comparison
+            # is analyzers-vs-analyzers, not analyzers-vs-nothing.
+            if mode == "fused":
+                for profile in session.profiles:
+                    profile.aggregates.results()
+            elif mode == "inram":
+                for profile in session.profiles:
+                    _kept_record_analyses(profile)
             end = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             with os.fdopen(write_fd, "w") as out:
                 json.dump({"delta_kb": end - start}, out)
@@ -372,22 +362,22 @@ def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
 
 
 def run_rss_suite(repeat: int = 1) -> dict:
-    """Attributable drain RSS per app; the O(segment) acceptance gate.
+    """Attributable analysis RSS per app; the O(flush window) gate.
 
     For each :data:`RSS_APPS` entry this measures, best-of-``repeat``:
 
-    - ``attr_inram_small_kb``: in-RAM drain + batch analyses at the
-      *current* (registry-default) input, minus an uninstrumented run
-      at the same input,
-    - ``attr_stream_scaled_kb``: streaming drain at the >=4x input,
+    - ``attr_inram_small_kb``: kept records + the advisor's analyses at
+      the *current* (registry-default) input, minus an uninstrumented
+      run at the same input,
+    - ``attr_fused_scaled_kb``: in-flight analysis at the >=4x input,
       minus uninstrumented at the >=4x input,
-    - ``attr_inram_scaled_kb``: in-RAM drain at the >=4x input (the
+    - ``attr_inram_scaled_kb``: kept records at the >=4x input (the
       same-scale comparison, recorded for context).
 
-    An app passes iff the streaming drain at the scaled input stays
-    under its absolute ceiling AND under the in-RAM drain at the small
-    input -- i.e. growing the trace 4x must not cost what the old
-    full-trace drain paid at 1x.
+    An app passes iff in-flight analysis at the scaled input stays
+    under its absolute ceiling AND under kept records at the small
+    input -- i.e. growing the trace 4x must not cost what keeping the
+    full trace paid at 1x.
     """
     per_app: Dict[str, dict] = {}
     passed = True
@@ -397,7 +387,7 @@ def run_rss_suite(repeat: int = 1) -> dict:
             ("plain_small", spec["small"], "plain"),
             ("inram_small", spec["small"], "inram"),
             ("plain_scaled", spec["scaled"], "plain"),
-            ("stream_scaled", spec["scaled"], "stream"),
+            ("fused_scaled", spec["scaled"], "fused"),
             ("inram_scaled", spec["scaled"], "inram"),
         ):
             best = None
@@ -407,24 +397,24 @@ def run_rss_suite(repeat: int = 1) -> dict:
                     best = delta
             raw[label] = best
         attr_inram_small = raw["inram_small"] - raw["plain_small"]
-        attr_stream_scaled = raw["stream_scaled"] - raw["plain_scaled"]
+        attr_fused_scaled = raw["fused_scaled"] - raw["plain_scaled"]
         attr_inram_scaled = raw["inram_scaled"] - raw["plain_scaled"]
         entry = {
             "small_kwargs": spec["small"],
             "scaled_kwargs": spec["scaled"],
             "attr_inram_small_kb": attr_inram_small,
-            "attr_stream_scaled_kb": attr_stream_scaled,
+            "attr_fused_scaled_kb": attr_fused_scaled,
             "attr_inram_scaled_kb": attr_inram_scaled,
             "ceiling_kb": spec["ceiling_kb"],
-            "under_ceiling": attr_stream_scaled <= spec["ceiling_kb"],
-            "beats_inram_at_small": attr_stream_scaled < attr_inram_small,
+            "under_ceiling": attr_fused_scaled <= spec["ceiling_kb"],
+            "beats_inram_at_small": attr_fused_scaled < attr_inram_small,
         }
         per_app[name] = entry
         ok = entry["under_ceiling"] and entry["beats_inram_at_small"]
         passed = passed and ok
         print(
             f"{name:>10}: in-RAM@1x {attr_inram_small:>7,} KB   "
-            f"stream@4x {attr_stream_scaled:>7,} KB   "
+            f"in-flight@4x {attr_fused_scaled:>7,} KB   "
             f"in-RAM@4x {attr_inram_scaled:>7,} KB   "
             f"ceiling {spec['ceiling_kb']:>6,} KB   "
             f"{'ok' if ok else 'FAIL'}"
@@ -477,37 +467,28 @@ def _classic_analyses(profile) -> None:
         arith.by_line[record.line] += record.active_lanes
 
 
-def _analysis_run(app_name: str, app_kwargs: dict, mode: str,
-                  spill_dir: str) -> float:
+def _analysis_run(app_name: str, app_kwargs: dict, mode: str) -> float:
     """Wall seconds for one execute+analyze run under ``mode``.
 
     ``inram`` materializes the trace in RAM and runs the classic
     record-at-a-time batch analyses over it afterwards
     (:func:`_classic_analyses`); ``keep`` materializes it and runs the
-    public analyzers, which feed it through the same aggregates the
-    other modes use (``CUDAAdvisor(keep_records=True)``); ``stream``
-    spills ``RSS_SPILL_ROWS``-row segments and drains them through an
-    :func:`advisor_plan` bank at kernel end; ``fused`` feeds the same
-    bank in flight, so no trace is ever materialized or spilled (the
-    spill config only sets the flush granularity). All four produce
-    identical analyzer results; only where the work happens -- and
-    therefore the wall time -- differs, which is exactly what this
-    measures: the timed region covers the app run *and* the analyses.
+    public analyzers, which feed it through the same aggregates
+    (``CUDAAdvisor(keep_records=True)``); ``fused`` feeds an
+    :func:`advisor_plan` bank in flight, so no trace is ever
+    materialized. All three produce identical analyzer results; only
+    where the work happens -- and therefore the wall time -- differs,
+    which is exactly what this measures: the timed region covers the
+    app run *and* the analyses.
     """
     app = build_app(app_name, **app_kwargs)
     module = compile_kernels(list(app.kernels), app_name)
     optimization_pipeline().run(module)
     instrumentation_pipeline(INSTRUMENT_MODES).run(module)
-    if mode in ("inram", "keep"):
-        session = ProfilingSession()
-    else:
+    plan = None
+    if mode == "fused":
         plan = advisor_plan(RSS_LINE_SIZE, INSTRUMENT_MODES)
-        session = ProfilingSession(
-            spill_dir=spill_dir,
-            spill_rows=RSS_SPILL_ROWS,
-            streaming=plan if mode == "stream" else None,
-            fused=plan if mode == "fused" else None,
-        )
+    session = ProfilingSession(fused=plan)
     device = Device(KEPLER_K40C)
     rt = CudaRuntime(device, profiler=session)
     image = device.load_module(module)
@@ -528,7 +509,7 @@ def _analysis_run(app_name: str, app_kwargs: dict, mode: str,
 def _fused_ratios(times: Dict[str, float]) -> dict:
     """Rounded per-mode seconds plus the fused path's speedups."""
     out = {f"{mode}_s": round(t, 4) for mode, t in times.items()}
-    for mode in ("inram", "keep", "stream"):
+    for mode in ("inram", "keep"):
         out[f"vs_{mode}"] = (
             round(times[mode] / times["fused"], 3) if times["fused"] else None
         )
@@ -537,25 +518,21 @@ def _fused_ratios(times: Dict[str, float]) -> dict:
 
 def run_fused_suite(repeat: int = 1) -> dict:
     """Execute+analyze wall time: classic in-RAM vs kept records vs
-    streaming vs fused.
+    fused.
 
     Per :data:`FUSED_APPS` entry, the trimmed-mean-of-``repeat`` wall
-    time of each pipeline shape plus the ``vs_inram`` / ``vs_keep`` /
-    ``vs_stream`` speedup ratios of the fused path. The results are
-    comparable because the four paths compute identical analyzer
-    output.
+    time of each pipeline shape plus the ``vs_inram`` / ``vs_keep``
+    speedup ratios of the fused path. The results are comparable
+    because the three paths compute identical analyzer output.
     """
     per_app: Dict[str, dict] = {}
     for name, kwargs in FUSED_APPS.items():
         times: Dict[str, float] = {}
-        for mode in ("inram", "keep", "stream", "fused"):
-            samples = []
-            for _ in range(max(1, repeat)):
-                with tempfile.TemporaryDirectory() as spill_dir:
-                    samples.append(
-                        _analysis_run(name, kwargs, mode, spill_dir)
-                    )
-            times[mode] = _trimmed(samples)
+        for mode in ("inram", "keep", "fused"):
+            times[mode] = _trimmed([
+                _analysis_run(name, kwargs, mode)
+                for _ in range(max(1, repeat))
+            ])
         per_app[name] = {
             "kwargs": kwargs,
             **_fused_ratios(times),
@@ -563,21 +540,18 @@ def run_fused_suite(repeat: int = 1) -> dict:
         print(
             f"{name:>10}: in-RAM {times['inram']:7.3f}s   "
             f"kept {times['keep']:7.3f}s   "
-            f"stream {times['stream']:7.3f}s   "
             f"fused {times['fused']:7.3f}s   "
             f"{per_app[name]['vs_inram']:.2f}x vs in-RAM   "
-            f"{per_app[name]['vs_keep']:.2f}x vs kept   "
-            f"{per_app[name]['vs_stream']:.2f}x vs stream"
+            f"{per_app[name]['vs_keep']:.2f}x vs kept"
         )
     total = {
         mode: sum(app[f"{mode}_s"] for app in per_app.values())
-        for mode in ("inram", "keep", "stream", "fused")
+        for mode in ("inram", "keep", "fused")
     }
     aggregate = _fused_ratios(total)
     print(
         f"{'TOTAL':>10}: in-RAM {total['inram']:7.3f}s   "
         f"kept {total['keep']:7.3f}s   "
-        f"stream {total['stream']:7.3f}s   "
         f"fused {total['fused']:7.3f}s   "
         f"{aggregate['vs_inram']:.2f}x vs in-RAM"
     )
@@ -609,14 +583,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "speedup instead")
     parser.add_argument("--fused", action="store_true",
                         help="measure execute+analyze wall time on the "
-                        "FUSED_APPS inputs: in-RAM batch vs streaming "
-                        "drain vs fused in-flight analysis; records a "
+                        "FUSED_APPS inputs: in-RAM batch vs kept "
+                        "records vs fused in-flight analysis; records a "
                         "'fused' section in the results file")
     parser.add_argument("--rss", action="store_true",
-                        help="measure attributable drain peak RSS on the "
-                        "paper-scale RSS_APPS inputs instead of speed; "
-                        "exit 1 if the streaming drain breaches its "
-                        "ceiling or the in-RAM drain's small-input RSS")
+                        help="measure attributable analysis peak RSS on "
+                        "the paper-scale RSS_APPS inputs instead of "
+                        "speed; exit 1 if in-flight analysis breaches "
+                        "its ceiling or kept records' small-input RSS")
     args = parser.parse_args(argv)
     if (args.floor is not None and args.backend == "interpreter"
             and not args.fused):
@@ -631,7 +605,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.fused:
         fused = run_fused_suite(repeat=args.repeat)
         fused["config"] = {
-            "spill_rows": RSS_SPILL_ROWS,
+            "flush_rows": FLUSH_ROWS,
             "line_size": RSS_LINE_SIZE,
             "modes": INSTRUMENT_MODES,
             "repeat": args.repeat,
@@ -668,7 +642,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.rss:
         rss = run_rss_suite(repeat=args.repeat)
         rss["config"] = {
-            "spill_rows": RSS_SPILL_ROWS,
+            "flush_rows": FLUSH_ROWS,
             "line_size": RSS_LINE_SIZE,
             "modes": INSTRUMENT_MODES,
             "repeat": args.repeat,
@@ -689,11 +663,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 name for name, app in rss["apps"].items()
                 if not (app["under_ceiling"] and app["beats_inram_at_small"])
             ]
-            print("--rss: streaming drain RSS gate failed for: "
+            print("--rss: in-flight analysis RSS gate failed for: "
                   + ", ".join(sorted(failing)), file=sys.stderr)
             return 1
-        print("--rss: streaming drain under every ceiling and below the "
-              "in-RAM drain at current input sizes")
+        print("--rss: in-flight analysis under every ceiling and below "
+              "kept records at current input sizes")
         return 0
 
     apps = (

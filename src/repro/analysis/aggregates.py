@@ -193,7 +193,7 @@ class _OnlineReuse:
             # is exact across any boundary -- so bound the transient
             # working set (roughly twenty n-sized arrays live during a
             # feed) by our own chunk size, not the caller's segment
-            # size. Peak RSS of a streaming drain is set right here.
+            # size. Peak RSS of in-flight analysis is set right here.
             return np.concatenate([
                 self.feed(elements[i:i + _FEED_CHUNK],
                           writes[i:i + _FEED_CHUNK])
@@ -726,10 +726,10 @@ class ArithmeticAggregate(SegmentAggregate):
 
 
 class AnalyzerBank:
-    """A named set of aggregates fed by one streaming drain.
+    """A named set of aggregates fed by one in-flight sink.
 
-    The drain calls ``update_memory`` / ``update_block`` /
-    ``update_arith`` once per kept segment; shard banks merge with
+    The sink calls ``update_memory`` / ``update_block`` /
+    ``update_arith`` once per kept flush window; shard banks merge with
     :meth:`merge` (in shard order); :meth:`result` finalizes lazily and
     caches, so analyses can be read repeatedly.
     """
@@ -843,7 +843,7 @@ def analyze(profile, aggregate: SegmentAggregate):
 
 
 class AnalyzerPlan:
-    """A recipe for the aggregates a streaming drain instantiates.
+    """A recipe for the aggregates an in-flight sink feeds.
 
     A plan is shared across launches (and inherited by forked shard
     workers); every ``kernel_end`` creates a fresh bank from it.
@@ -867,8 +867,8 @@ def advisor_plan(
     """The aggregates :class:`~repro.optim.advisor.CUDAAdvisor` needs.
 
     ``heatmap_cell_rows`` (when set, and "memory" is instrumented) adds
-    the :class:`~repro.analysis.heatmap.HeatmapAggregate` so streaming
-    drains build the per-allocation x time heat map as they go.
+    the :class:`~repro.analysis.heatmap.HeatmapAggregate` so in-flight
+    analysis builds the per-allocation x time heat map as rows flow.
     """
     factories: Dict[str, Callable[[], SegmentAggregate]] = {}
     if "memory" in modes and heatmap_cell_rows is not None:

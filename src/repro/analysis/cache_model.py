@@ -163,7 +163,7 @@ def hit_rate_curve(
     """Evaluate every candidate capacity from precomputed distances.
 
     Accepts either an iterable of raw distance samples or a
-    :class:`StackDistanceSummary` (the streaming drain's histogram).
+    :class:`StackDistanceSummary` (the in-flight aggregate's histogram).
     """
     if isinstance(distance_samples, StackDistanceSummary):
         return distance_samples.curve(capacities, line_size)

@@ -68,26 +68,21 @@ def render_branch_table(
 
 
 def render_buffer_accounting(app: str, profiles: Sequence) -> str:
-    """Per-launch trace-buffer accounting (drops, spill, corruption).
+    """Per-launch trace-buffer accounting (kept and dropped rows).
 
-    Only meaningful when a launch overflowed its buffer capacity or
-    spilled segments to disk (see docs/reliability.md); the CLI prints
-    it only in that case.
+    Only meaningful when a launch overflowed its buffer capacity (see
+    docs/reliability.md); the CLI prints it only in that case.
     """
     lines = [
         f"Trace buffers -- {app}",
-        f"{'kernel':<20} {'kept':>10} {'dropped':>9} "
-        f"{'spilled':>9} {'corrupt':>9}",
+        f"{'kernel':<20} {'kept':>10} {'dropped':>9}",
     ]
     for p in profiles:
         kept = (
             len(p.memory_records) + len(p.block_records)
             + len(p.arith_records)
         )
-        lines.append(
-            f"{p.kernel:<20} {kept:>10} {p.dropped_records:>9} "
-            f"{p.spilled_records:>9} {p.corrupt_records:>9}"
-        )
+        lines.append(f"{p.kernel:<20} {kept:>10} {p.dropped_records:>9}")
     return "\n".join(lines)
 
 
@@ -179,9 +174,9 @@ def render_stream_stats(app: str, profiles: Sequence) -> str:
 
     One row per kernel instance whose rows streamed through the
     analyzer bank (the default, in-flight analysis): segments streamed,
-    the peak number of trace rows resident at once (the O(segment)
-    guarantee, vs total kept rows), and the rows dropped (capacity,
-    sampling clip, corrupt segments). When every launch kept its
+    the peak number of trace rows resident at once (bounded by the
+    flush window, vs total kept rows), and the rows dropped (capacity,
+    sampling clip). When every launch kept its
     records the section renders an explicit placeholder so verbose
     output always shows it.
     """

@@ -64,7 +64,7 @@ class _Fenwick:
 
     int32 cells: every count is bounded by the number of marked time
     slots, which is bounded by the trace length of one CTA — far below
-    2^31. The streaming drain keeps one tree per (CTA, model) alive
+    2^31. In-flight analysis keeps one tree per (CTA, model) alive
     for a whole kernel, so cell width is a real memory term.
     """
 

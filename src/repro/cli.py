@@ -97,20 +97,11 @@ def _add_profiling_args(profile: argparse.ArgumentParser) -> None:
     )
     profile.add_argument(
         "--sample-rate", type=int, default=1,
-        help="keep every Nth trace record (drain-time stride sampling)",
+        help="keep every Nth trace record (stride sampling)",
     )
     profile.add_argument(
         "--buffer-capacity", type=int, default=None,
         help="cap per-launch trace records (oldest kept, rest dropped)",
-    )
-    profile.add_argument(
-        "--spill-dir", default=None,
-        help="spill full trace-buffer segments to this directory "
-        "instead of growing in memory",
-    )
-    profile.add_argument(
-        "--spill-rows", type=int, default=None,
-        help="rows per spill segment (needs --spill-dir; default 65536)",
     )
     profile.add_argument(
         "--heatmap-cell-rows", type=int, default=None,
@@ -160,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--verbose", action="store_true",
         help="print execution internals (JIT trace-cache counters, "
-        "streaming-drain statistics)",
+        "in-flight analysis statistics)",
     )
 
     export = sub.add_parser(
@@ -272,10 +263,6 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
         raise _UsageError("--workers must be >= 1")
     if args.sample_rate < 1:
         raise _UsageError("--sample-rate must be >= 1")
-    if args.spill_rows is not None and args.spill_dir is None:
-        raise _UsageError("--spill-rows needs --spill-dir")
-    if args.spill_rows is not None and args.spill_rows < 1:
-        raise _UsageError("--spill-rows must be >= 1")
     if args.heatmap_cell_rows is not None and args.heatmap_cell_rows < 1:
         raise _UsageError("--heatmap-cell-rows must be >= 1")
     if args.time_buckets < 1:
@@ -297,8 +284,6 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
         backend=args.backend,
         parallel_workers=args.workers,
         failure_policy=args.failure_policy,
-        spill_dir=args.spill_dir,
-        spill_rows=args.spill_rows or 65536,
         heatmap=heatmap,
         **kwargs,
     )
@@ -322,8 +307,6 @@ def _submit_config(args, modes, heatmap) -> dict:
         ("backend", args.backend),
         ("parallel_workers", args.workers),
         ("failure_policy", args.failure_policy),
-        ("spill_dir", args.spill_dir),
-        ("spill_rows", args.spill_rows),
     ):
         if value is not None:
             config[hint] = value
@@ -399,7 +382,7 @@ def _cmd_profile(args) -> int:
         print(report.overhead.render())
         print()
     profiles = report.session.profiles
-    if any(p.dropped_records or p.spilled_records for p in profiles):
+    if any(p.dropped_records for p in profiles):
         print("### trace buffers")
         print(render_buffer_accounting(args.app, profiles))
         print()

@@ -10,10 +10,11 @@ autotuners consume it instead of scraping rendered text.
 
 Determinism contract: the default document depends only on the program,
 architecture and instrumentation knobs -- *not* on how the trace was
-drained. Profiling the same app with the in-RAM drain, the streaming
-drain, fork-parallel shards or the batched backend yields byte-identical
-:func:`export_json` output (pinned by ``tests/test_export.py``).
-Run-variant observations (wall-clock, stream/drain statistics,
+analyzed. Profiling the same app in flight or with kept records, with
+fork-parallel shards or the batched backend yields byte-identical
+:func:`export_json` output (pinned by ``tests/test_export.py`` and
+``tests/test_differential.py``).
+Run-variant observations (wall-clock, in-flight statistics,
 degradation events) live in the opt-in ``runtime`` section, which
 ``include_runtime=True`` adds at the cost of that identity.
 
@@ -51,8 +52,10 @@ def _kernel_entry(profile) -> dict:
             "arith": len(profile.arith_records),
         },
         "dropped_records": profile.dropped_records,
-        "spilled_records": profile.spilled_records,
-        "corrupt_records": profile.corrupt_records,
+        # Traces are never spilled to disk; both fields are required in
+        # schema 1.x, so they are kept, as the constant 0.
+        "spilled_records": 0,
+        "corrupt_records": 0,
     }
 
 
@@ -187,45 +190,7 @@ def _heatmap_section(report: AdvisorReport, time_buckets: int,
 
 
 def _runtime_section(report: AdvisorReport) -> dict:
-    session = report.session
-    runtime: dict = {
-        "trace_buffers": {
-            "dropped_records": sum(
-                p.dropped_records for p in session.profiles
-            ),
-            "spilled_records": sum(
-                p.spilled_records for p in session.profiles
-            ),
-            "corrupt_records": sum(
-                p.corrupt_records for p in session.profiles
-            ),
-        },
-    }
-    stream_stats = [
-        p.stream_stats for p in session.profiles
-        if p.stream_stats is not None
-    ]
-    if stream_stats:
-        runtime["streaming_drain"] = {
-            "segments_streamed": sum(
-                s["segments_streamed"] for s in stream_stats
-            ),
-            "peak_resident_rows": max(
-                s["peak_resident_rows"] for s in stream_stats
-            ),
-            "rows_kept": sum(
-                s["memory_rows"] + s["block_rows"] + s["arith_rows"]
-                for s in stream_stats
-            ),
-        }
-    supervisor = getattr(
-        session.device, "_supervisor", None
-    )
-    if supervisor is not None and supervisor.events:
-        runtime["degradations"] = [
-            {"reason": e.reason, "kernel": e.kernel, "message": e.message}
-            for e in supervisor.events
-        ]
+    runtime = report.run_summary()
     if report.overhead is not None:
         runtime["wall"] = {
             "baseline_seconds": report.overhead.baseline_wall,

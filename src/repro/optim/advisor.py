@@ -191,22 +191,31 @@ class AdvisorReport:
                 "time_cells": self.heatmap.time_cells,
                 "occupied_cells": len(self.heatmap.cells),
             }
-        dropped = sum(p.dropped_records for p in self.session.profiles)
-        spilled = sum(p.spilled_records for p in self.session.profiles)
-        corrupt = sum(p.corrupt_records for p in self.session.profiles)
-        if dropped or spilled or corrupt:
-            out["trace_buffers"] = {
-                "dropped_records": dropped,
-                "spilled_records": spilled,
-                "corrupt_records": corrupt,
-            }
+        out.update(self.run_summary())
+        return out
+
+    def run_summary(self) -> dict:
+        """How the run's trace moved: buffer accounting, in-flight
+        counters and degradation events.
+
+        The legacy :meth:`to_dict` summary and the export's opt-in
+        ``runtime`` section both carry exactly this.
+        """
+        profiles = self.session.profiles
+        summary: dict = {
+            "trace_buffers": {
+                "dropped_records": sum(p.dropped_records for p in profiles),
+                # Traces are never spilled to disk; both counters are
+                # required fields of schema 1.x, so they stay, as 0.
+                "spilled_records": 0,
+                "corrupt_records": 0,
+            },
+        }
         stream_stats = [
-            p.stream_stats
-            for p in self.session.profiles
-            if p.stream_stats is not None
+            p.stream_stats for p in profiles if p.stream_stats is not None
         ]
         if stream_stats:
-            out["streaming_drain"] = {
+            summary["streaming_drain"] = {
                 "segments_streamed": sum(
                     s["segments_streamed"] for s in stream_stats
                 ),
@@ -217,21 +226,15 @@ class AdvisorReport:
                     s["memory_rows"] + s["block_rows"] + s["arith_rows"]
                     for s in stream_stats
                 ),
-                "rows_dropped": dropped,
             }
-        supervisor = getattr(
-            self.session.device, "_supervisor", None
-        )
+        supervisor = getattr(self.session.device, "_supervisor", None)
         if supervisor is not None and supervisor.events:
-            out["degradations"] = [
-                {
-                    "reason": e.reason,
-                    "kernel": e.kernel,
-                    "message": e.message,
-                }
+            summary["degradations"] = [
+                {"reason": e.reason, "kernel": e.kernel,
+                 "message": e.message}
                 for e in supervisor.events
             ]
-        return out
+        return summary
 
     def advice(self) -> List[str]:
         """Human-readable optimization guidance (the tool's purpose)."""
@@ -303,8 +306,6 @@ class CUDAAdvisor:
         backend: Optional[str] = None,
         parallel_workers: Optional[int] = None,
         failure_policy: Optional[str] = None,
-        spill_dir: Optional[str] = None,
-        spill_rows: int = 65536,
         keep_records: bool = False,
         heatmap: bool = False,
         heatmap_cell_rows: int = DEFAULT_CELL_ROWS,
@@ -320,10 +321,8 @@ class CUDAAdvisor:
         self.backend = backend
         self.parallel_workers = parallel_workers
         self.failure_policy = failure_policy
-        self.spill_dir = spill_dir
-        self.spill_rows = spill_rows
         #: Rows are analyzed *in flight* by default: they flush into
-        #: the analyzer bank at segment granularity during execution
+        #: the analyzer bank every few thousand rows during execution
         #: and the trace is never materialized (launches that need raw
         #: records, such as pc sampling, degrade per launch with a
         #: ``fused-records-unavailable`` warning). ``keep_records``
@@ -388,8 +387,6 @@ class CUDAAdvisor:
         session = ProfilingSession(
             buffer_capacity=self.buffer_capacity,
             sample_rate=self.sample_rate,
-            spill_dir=self.spill_dir,
-            spill_rows=self.spill_rows,
             fused=None if self.keep_records else self._plan(),
         )
         rt = self._fresh_runtime(profiler=session)

@@ -19,15 +19,11 @@ host. Two implementations model that:
   classic record dataclasses (materialized lazily per index) for
   compatibility.
 
-Columnar buffers are **spill-safe**: with a
-:class:`~repro.reliability.spill.SpillConfig` attached, a buffer that
-reaches ``segment_rows`` in-memory rows writes the segment to disk
-(checksummed; see :mod:`repro.reliability.spill`) and keeps appending;
-``drain()`` reads the segments back in order and concatenates them with
-the in-memory tail, so the drained stream is byte-identical to an
-all-in-memory run. ``capacity`` counts *total* retained rows (memory +
-disk); ``spilled`` / ``corrupt_dropped`` expose the accounting that
-``analysis/report.py`` surfaces.
+With an in-flight sink attached
+(:class:`~repro.profiler.streamdrain.FusedSink`), a columnar buffer
+hands its rows over whenever it holds ``sink_rows`` of them, so a
+launch's resident trace stays bounded; without one, ``drain()`` returns
+the whole kept trace at kernel exit.
 """
 
 from __future__ import annotations
@@ -36,18 +32,11 @@ from typing import Generic, List, Optional, TypeVar
 
 import numpy as np
 
-from repro.errors import TraceCorruptionError
 from repro.profiler.records import (
     ArithRecord,
     BlockRecord,
     MemoryAccessRecord,
     MemoryOp,
-)
-from repro.reliability.spill import (
-    SpillConfig,
-    discard_segment,
-    read_segment,
-    write_segment,
 )
 
 T = TypeVar("T")
@@ -86,34 +75,22 @@ _INITIAL_ROWS = 1024
 
 
 class _ColumnarBase:
-    """Shared capacity/drop bookkeeping, chunked growth, disk spill."""
+    """Shared capacity/drop bookkeeping, chunked growth, in-flight hand-off."""
 
-    #: spill-segment file prefix; overridden per concrete buffer.
-    _KIND = "columnar"
-
-    def __init__(self, capacity: Optional[int] = None,
-                 spill: Optional[SpillConfig] = None):
+    def __init__(self, capacity: Optional[int] = None):
         self.capacity = capacity
-        self.spill = spill
         self.dropped = 0
         self.total_appended = 0
-        #: rows written to disk segments over this buffer's lifetime.
-        self.spilled = 0
-        #: rows lost to corrupted spill segments (on_corrupt="drop").
-        self.corrupt_dropped = 0
-        #: fused in-flight analysis: ``sink(buffer)`` fires whenever the
-        #: in-memory rows reach ``sink_rows`` (instead of spilling);
-        #: see :class:`repro.profiler.streamdrain.FusedSink`.
+        #: in-flight analysis: ``sink(buffer)`` fires whenever the
+        #: buffered rows reach ``sink_rows``; see
+        #: :class:`repro.profiler.streamdrain.FusedSink`.
         self.sink = None
         self.sink_rows = 0
         self._n = 0
         self._alloc = 0
-        self._spilled_rows = 0  # rows currently on disk (pre-drain)
-        self._segments: List[str] = []
-        self._segment_index = 0
 
     def __len__(self) -> int:
-        return self._n + self._spilled_rows
+        return self._n
 
     def _next_alloc(self) -> int:
         new = self._alloc * 2 if self._alloc else _INITIAL_ROWS
@@ -138,132 +115,42 @@ class _ColumnarBase:
         self.dropped += n - admit
         return admit
 
-    # -- disk spill ---------------------------------------------------------
-    def _spill_payload(self):
-        """The in-memory rows as a pickleable payload (per buffer kind)."""
+    def _live_view(self):
+        """The buffered rows as a view over the live column prefixes."""
         raise NotImplementedError
 
     def _reset_memory(self) -> None:
-        """Clear the in-memory segment after a spill (per buffer kind)."""
+        """Forget the buffered arrays (per buffer kind)."""
         raise NotImplementedError
 
-    def _maybe_spill(self) -> None:
-        if (
-            self.spill is not None
-            and self._n >= self.spill.segment_rows
-        ):
-            self._spill_segment()
-        elif self.sink is not None and self._n >= self.sink_rows:
+    def _maybe_flush(self) -> None:
+        if self.sink is not None and self._n >= self.sink_rows:
             self.sink(self)
 
     def detach_rows(self):
         """Hand the buffered rows over as a zero-copy column view.
 
-        The fused sink's segment hand-off: returns ``None`` when empty,
+        The in-flight sink's hand-off: returns ``None`` when empty,
         otherwise a view over the live column prefixes. The buffer
         forgets the arrays (the next append allocates fresh ones), so
         the view is never mutated after detach.
         """
         if self._cols is None or not self._n:
             return None
-        view = self._view(self._spill_payload())
+        view = self._live_view()
         self._reset_memory()
         self._n = 0
         self._alloc = 0
         return view
 
-    def _spill_segment(self) -> None:
-        rows = self._n
-        if not rows:
-            return
-        path = write_segment(
-            self.spill, self._KIND, self._segment_index,
-            self._spill_payload(), rows,
-        )
-        self._segment_index += 1
-        self._segments.append(path)
-        self._spilled_rows += rows
-        self.spilled += rows
-        self._reset_memory()
-        self._n = 0
-        self._alloc = 0
-
-    def _stream_read_segments(self):
-        """Yield spilled payloads in write order, one segment at a time.
-
-        Each segment file is **deleted as soon as it is read** (or
-        found corrupt), so disk usage shrinks as the drain progresses
-        instead of doubling as RAM fills. ``on_corrupt="raise"``
-        propagates :class:`~repro.errors.TraceCorruptionError`;
-        ``"drop"`` counts the segment's rows (known from the clear-text
-        header) as dropped -- per segment, as it streams -- and skips
-        it. Abandoning the generator discards the remaining files.
-        """
-        segments, self._segments = self._segments, []
-        try:
-            while segments:
-                path = segments.pop(0)
-                try:
-                    payload = read_segment(path)
-                except TraceCorruptionError as exc:
-                    if self.spill is None or self.spill.on_corrupt == "raise":
-                        raise
-                    self.corrupt_dropped += exc.rows
-                    self.dropped += exc.rows
-                    continue
-                finally:
-                    discard_segment(path)
-                yield payload
-        finally:
-            for path in segments:
-                discard_segment(path)
-            self._spilled_rows = 0
-
-    def _read_segments(self) -> List[object]:
-        """All spilled payloads in write order (the in-RAM drain)."""
-        return list(self._stream_read_segments())
-
-    # -- streaming drain ----------------------------------------------------
-    def _view(self, payload):
-        """Wrap one segment payload as a column view (per buffer kind)."""
+    def _empty(self):
+        """A zero-row column view (per buffer kind)."""
         raise NotImplementedError
 
-    def stream_segments(self):
-        """Yield drained column views one spill segment at a time.
-
-        The streaming counterpart of ``drain()``: disk segments first
-        (each file deleted as soon as it is consumed), then the
-        in-memory tail; the buffer is empty afterwards. Concatenating
-        the yielded views reproduces ``drain()`` byte-identically.
-        """
-        for payload in self._stream_read_segments():
-            yield self._view(payload)
-        n = self._n
-        tail = self._spill_payload() if self._cols is not None and n else None
-        self._reset_memory()
-        self._n = 0
-        self._alloc = 0
-        if tail is not None:
-            yield self._view(tail)
-
-    def export_stream_state(self) -> dict:
-        """Detach the spill-segment paths and in-memory tail (pickleable).
-
-        Used by streaming shard workers: instead of draining the trace
-        into RAM to ship it, the worker hands over its segment *files*
-        plus the tail columns, and the parent streams them through its
-        analyzer bank. The buffer is empty afterwards; the consumer
-        owns (and deletes) the segment files.
-        """
-        paths, self._segments = self._segments, []
-        tail = None
-        if self._cols is not None and self._n:
-            tail = self._view(self._spill_payload())
-        self._reset_memory()
-        self._n = 0
-        self._alloc = 0
-        self._spilled_rows = 0
-        return {"paths": paths, "tail": tail}
+    def drain(self):
+        """The kernel-exit device-to-host copy; empties the buffer."""
+        view = self.detach_rows()
+        return self._empty() if view is None else view
 
 
 def _column(records, field: str, dtype=np.int32) -> np.ndarray:
@@ -346,22 +233,16 @@ class MemoryColumns:
 class ColumnarMemoryBuffer(_ColumnarBase):
     """SoA append buffer for instrumented memory accesses."""
 
-    _KIND = "memory"
-
-    def __init__(self, capacity: Optional[int] = None,
-                 spill: Optional[SpillConfig] = None):
-        super().__init__(capacity, spill)
+    def __init__(self, capacity: Optional[int] = None):
+        super().__init__(capacity)
         self._cols: Optional[tuple] = None
         self._warp_size = 0
 
-    def _spill_payload(self):
-        return tuple(col[: self._n] for col in self._cols)
+    def _live_view(self) -> MemoryColumns:
+        return MemoryColumns(*(col[: self._n] for col in self._cols))
 
     def _reset_memory(self) -> None:
         self._cols = None
-
-    def _view(self, payload) -> MemoryColumns:
-        return MemoryColumns(*payload)
 
     def _grow(self, warp_size: int) -> None:
         new = self._next_alloc()
@@ -408,7 +289,7 @@ class ColumnarMemoryBuffer(_ColumnarBase):
         c[8][n] = addrs
         c[9][n] = mask
         self._n = n + 1
-        self._maybe_spill()
+        self._maybe_flush()
         return True
 
     def extend(self, cols: MemoryColumns) -> int:
@@ -427,38 +308,17 @@ class ColumnarMemoryBuffer(_ColumnarBase):
         for dst, src in zip(self._cols, data):
             dst[lo:hi] = src[:admit]
         self._n = hi
-        self._maybe_spill()
+        self._maybe_flush()
         return admit
 
-    def drain(self) -> MemoryColumns:
-        parts = [tuple(p) for p in self._read_segments()]
-        n = self._n
-        if self._cols is not None and n:
-            parts.append(tuple(col[:n] for col in self._cols))
-        if not parts:
-            empty = MemoryColumns(
-                *(np.zeros(0, d) for d in (np.int64, np.int32, np.int32,
-                                           np.int32, np.int32, np.int32,
-                                           np.int8, np.int64)),
-                np.zeros((0, self._warp_size or 1), np.int64),
-                np.zeros((0, self._warp_size or 1), bool),
-            )
-            self._cols = None
-            self._n = 0
-            self._alloc = 0
-            return empty
-        if len(parts) == 1:
-            fields = parts[0]
-        else:
-            fields = tuple(
-                np.concatenate([part[i] for part in parts])
-                for i in range(10)
-            )
-        view = MemoryColumns(*fields)
-        self._cols = None
-        self._n = 0
-        self._alloc = 0
-        return view
+    def _empty(self) -> MemoryColumns:
+        return MemoryColumns(
+            *(np.zeros(0, d) for d in (np.int64, np.int32, np.int32,
+                                       np.int32, np.int32, np.int32,
+                                       np.int8, np.int64)),
+            np.zeros((0, self._warp_size or 1), np.int64),
+            np.zeros((0, self._warp_size or 1), bool),
+        )
 
 
 class BlockColumns:
@@ -534,26 +394,18 @@ class BlockColumns:
 class ColumnarBlockBuffer(_ColumnarBase):
     """SoA append buffer for instrumented basic-block events."""
 
-    _KIND = "block"
-
-    def __init__(self, capacity: Optional[int] = None,
-                 spill: Optional[SpillConfig] = None):
-        super().__init__(capacity, spill)
+    def __init__(self, capacity: Optional[int] = None):
+        super().__init__(capacity)
         self._cols: Optional[tuple] = None
         self._names: List[str] = []
 
-    def _spill_payload(self):
-        return (
-            tuple(col[: self._n] for col in self._cols),
-            list(self._names),
-        )
+    def _live_view(self) -> BlockColumns:
+        return BlockColumns(*(col[: self._n] for col in self._cols),
+                            self._names)
 
     def _reset_memory(self) -> None:
         self._cols = None
         self._names = []
-
-    def _view(self, payload) -> BlockColumns:
-        return BlockColumns(*payload[0], payload[1])
 
     def _grow(self) -> None:
         new = self._next_alloc()
@@ -589,7 +441,7 @@ class ColumnarBlockBuffer(_ColumnarBase):
         c[7][n] = call_path_id
         self._names.append(name)
         self._n = n + 1
-        self._maybe_spill()
+        self._maybe_flush()
         return True
 
     def extend(self, cols: BlockColumns) -> int:
@@ -606,36 +458,15 @@ class ColumnarBlockBuffer(_ColumnarBase):
             dst[lo:hi] = src[:admit]
         self._names.extend(cols.block_names[:admit])
         self._n = hi
-        self._maybe_spill()
+        self._maybe_flush()
         return admit
 
-    def drain(self) -> BlockColumns:
-        parts = list(self._read_segments())
-        n = self._n
-        if self._cols is not None and n:
-            parts.append(
-                (tuple(col[:n] for col in self._cols), self._names)
-            )
-        if not parts:
-            cols = [np.zeros(0, np.int64 if i in (0, 7) else np.int32)
-                    for i in range(8)]
-            names: List[str] = []
-        elif len(parts) == 1:
-            cols = list(parts[0][0])
-            names = list(parts[0][1])
-        else:
-            cols = [
-                np.concatenate([part[0][i] for part in parts])
-                for i in range(8)
-            ]
-            names = [name for part in parts for name in part[1]]
-        view = BlockColumns(cols[0], cols[1], cols[2], cols[3], cols[4],
-                            cols[5], cols[6], cols[7], names)
-        self._cols = None
-        self._names = []
-        self._n = 0
-        self._alloc = 0
-        return view
+    def _empty(self) -> BlockColumns:
+        return BlockColumns(
+            *(np.zeros(0, np.int64 if i in (0, 7) else np.int32)
+              for i in range(8)),
+            [],
+        )
 
 
 class ArithColumns:
@@ -713,26 +544,18 @@ class ArithColumns:
 class ColumnarArithBuffer(_ColumnarBase):
     """SoA append buffer for instrumented arithmetic events."""
 
-    _KIND = "arith"
-
-    def __init__(self, capacity: Optional[int] = None,
-                 spill: Optional[SpillConfig] = None):
-        super().__init__(capacity, spill)
+    def __init__(self, capacity: Optional[int] = None):
+        super().__init__(capacity)
         self._cols: Optional[tuple] = None
         self._opcodes: List[str] = []
 
-    def _spill_payload(self):
-        return (
-            tuple(col[: self._n] for col in self._cols),
-            list(self._opcodes),
-        )
+    def _live_view(self) -> ArithColumns:
+        return ArithColumns(*(col[: self._n] for col in self._cols),
+                            self._opcodes)
 
     def _reset_memory(self) -> None:
         self._cols = None
         self._opcodes = []
-
-    def _view(self, payload) -> ArithColumns:
-        return ArithColumns(*payload[0], payload[1])
 
     def _grow(self) -> None:
         new = self._next_alloc()
@@ -776,7 +599,7 @@ class ColumnarArithBuffer(_ColumnarBase):
         c[8][n] = call_path_id
         self._opcodes.append(opcode)
         self._n = n + 1
-        self._maybe_spill()
+        self._maybe_flush()
         return True
 
     def extend(self, cols: ArithColumns) -> int:
@@ -794,38 +617,16 @@ class ColumnarArithBuffer(_ColumnarBase):
             dst[lo:hi] = src[:admit]
         self._opcodes.extend(cols.opcodes[:admit])
         self._n = hi
-        self._maybe_spill()
+        self._maybe_flush()
         return admit
 
-    def drain(self) -> ArithColumns:
-        parts = list(self._read_segments())
-        n = self._n
-        if self._cols is not None and n:
-            parts.append(
-                (tuple(col[:n] for col in self._cols), self._opcodes)
-            )
-        if not parts:
-            cols = [np.zeros(0, d) for d in (
+    def _empty(self) -> ArithColumns:
+        return ArithColumns(
+            *(np.zeros(0, d) for d in (
                 np.int64, np.int32, np.int32, np.int32, bool,
-                np.int32, np.int32, np.int32, np.int64)]
-            opcodes: List[str] = []
-        elif len(parts) == 1:
-            cols = list(parts[0][0])
-            opcodes = list(parts[0][1])
-        else:
-            cols = [
-                np.concatenate([part[0][i] for part in parts])
-                for i in range(9)
-            ]
-            opcodes = [op for part in parts for op in part[1]]
-        view = ArithColumns(cols[0], cols[1], cols[2], cols[3], cols[4],
-                            cols[5], cols[6], cols[7], cols[8],
-                            opcodes)
-        self._cols = None
-        self._opcodes = []
-        self._n = 0
-        self._alloc = 0
-        return view
+                np.int32, np.int32, np.int32, np.int64)),
+            [],
+        )
 
 
 def stride_sample(memory: MemoryColumns, arith: ArithColumns,

@@ -3,8 +3,10 @@
 One :class:`HookRuntime` exists per kernel launch (the paper's "online
 component ... invoked at the end of each kernel instance"). During the
 launch it receives every hook call from the interpreter; at kernel exit
-(`kernel_end`) it drains the device trace buffers into an immutable
-:class:`KernelProfile` that the analyzers consume.
+(`kernel_end`) it finishes an immutable :class:`KernelProfile`: by
+default the rows already streamed through an analyzer bank in flight
+(:mod:`repro.profiler.streamdrain`); without an analyzer plan the trace
+buffers are drained into the profile's records instead.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from repro.profiler.buffers import (
     clip_to_capacity,
     stride_sample,
 )
-from repro.reliability.spill import SpillConfig
-from repro.reliability.supervisor import TRACE_SEGMENT_CORRUPT
 from repro.profiler.codecentric import CallPathRegistry, GPUPathEntry
-from repro.profiler.streamdrain import FusedSink, StreamDrain, StreamedRecords
+from repro.profiler.streamdrain import FLUSH_ROWS, FusedSink, StreamedRecords
 from repro.profiler.records import (
     ArithRecord,
     BlockRecord,
@@ -56,17 +56,11 @@ class KernelProfile:
     functions_by_id: list
     dropped_records: int
     launch_result: object = None  # LaunchResult, attached at kernel_end
-    #: rows that overflowed to disk spill segments during the launch
-    #: (lossless; see docs/reliability.md) and rows lost to corrupted
-    #: segments (already included in ``dropped_records``).
-    spilled_records: int = 0
-    corrupt_records: int = 0
-    #: launches analyzed through a bank (in flight, or by the streaming
-    #: drain): the sealed
+    #: launches analyzed in flight: the sealed
     #: :class:`~repro.analysis.aggregates.AnalyzerBank` holding every
     #: analyzer's result (the records above are
     #: :class:`~repro.profiler.streamdrain.StreamedRecords`
-    #: placeholders), plus the drain's counters for reporting.
+    #: placeholders), plus the sink's counters for reporting.
     aggregates: object = None
     stream_stats: Optional[dict] = None
 
@@ -90,18 +84,10 @@ class HookRuntime:
         launch_site: str,
         buffer_capacity: Optional[int] = None,
         sample_rate: int = 1,
-        spill: Optional[SpillConfig] = None,
-        streaming=None,
         fused=None,
     ):
         if sample_rate < 1:
             raise ProfilerError("sample_rate must be >= 1")
-        if fused is not None and streaming is not None:
-            raise ProfilerError(
-                "fused and streaming are mutually exclusive: fused "
-                "analysis already streams rows through the bank in "
-                "flight"
-            )
         self.image = image
         self.kernel = kernel
         self.host_call_path = host_call_path
@@ -109,66 +95,41 @@ class HookRuntime:
         #: record every Nth memory/arith event (the paper's Section 5
         #: overhead-reduction direction); call-path and block events are
         #: never sampled (the shadow stacks must stay exact). Sampling
-        #: is a drain-time stride filter over the merged trace (see
+        #: is a stride filter over the merged trace (see
         #: :func:`repro.profiler.buffers.stride_sample`), so sampled
         #: launches still use the parallel/batched fast paths; the
         #: memory/arith buffers run uncapped during the launch and the
-        #: capacity is applied to the filtered rows at kernel_end.
+        #: capacity is applied to the filtered rows.
         self.sample_rate = sample_rate
         self._capacity = buffer_capacity
         #: an :class:`~repro.analysis.aggregates.AnalyzerPlan` (or None):
-        #: when set, kernel_end streams spill segments through the
-        #: plan's analyzer bank instead of materializing the trace, and
-        #: the profile carries ``aggregates`` + StreamedRecords
-        #: placeholders. The plan itself is never pickled -- shard
-        #: workers inherit it through fork.
-        self._streaming = streaming
-        #: an :class:`~repro.analysis.aggregates.AnalyzerPlan` (or None):
-        #: fused in-flight analysis -- the buffers flush into the plan's
-        #: bank at segment granularity *during* execution (no spill I/O,
-        #: no drain pass; see streamdrain.FusedSink). Byte-identical to
-        #: streaming; disabled per launch when raw records are needed
-        #: (``disable_fused``).
+        #: in-flight analysis -- the buffers flush into the plan's bank
+        #: every ``_flush_rows`` rows *during* execution and the profile
+        #: carries ``aggregates`` + StreamedRecords placeholders.
+        #: Disabled per launch when raw records are needed
+        #: (``disable_fused``). The plan itself is never pickled --
+        #: shard workers inherit it through fork.
         self._fused = fused
-        self._shard_states: List[dict] = []
 
-        # -- reliability wiring (docs/reliability.md) ---------------------
-        # The device's failure policy picks the drain-time behaviour for
-        # corrupted spill segments, and its fault injector can force a
-        # tiny spill-segment size (the buffer_overflow injection point)
-        # so overflow handling is exercised without a huge trace.
-        device = getattr(image, "device", None)
-        policy = getattr(device, "failure_policy", "degrade")
-        injector = getattr(device, "fault_injector", None)
+        # The device's fault injector can force a tiny flush size (the
+        # buffer_overflow injection point), so many flush boundaries
+        # are exercised without a huge trace (docs/reliability.md).
+        self._flush_rows = FLUSH_ROWS
+        injector = getattr(getattr(image, "device", None),
+                           "fault_injector", None)
         if injector is not None:
             params = injector.fire("buffer_overflow", kernel=kernel)
             if params is not None:
-                spill = SpillConfig(
-                    directory=spill.directory if spill else None,
-                    segment_rows=int(params.get("segment_rows", 256)),
-                )
-        if spill is not None:
-            spill.on_corrupt = "raise" if policy == "strict" else "drop"
-            spill.injector = injector
-        self._spill = spill
+                self._flush_rows = int(params.get("flush_rows", 256))
 
         event_capacity = buffer_capacity if sample_rate == 1 else None
-        # Fused launches never spill: rows leave the buffers through the
-        # sink before a segment could hit disk. The buffer_overflow
-        # injection's tiny segment size still applies -- as the flush
-        # granularity -- so overflow handling stays exercised.
-        buffer_spill = None if fused is not None else spill
-        self.memory_buffer = ColumnarMemoryBuffer(event_capacity, buffer_spill)
-        self.block_buffer = ColumnarBlockBuffer(buffer_capacity, buffer_spill)
-        self.arith_buffer = ColumnarArithBuffer(event_capacity, buffer_spill)
+        self.memory_buffer = ColumnarMemoryBuffer(event_capacity)
+        self.block_buffer = ColumnarBlockBuffer(buffer_capacity)
+        self.arith_buffer = ColumnarArithBuffer(event_capacity)
         self.call_paths = CallPathRegistry()
 
         self._fused_bank = None
-        self._fused_drain = None
         self._fused_sink = None
-        self._fused_flush_rows = (
-            spill.segment_rows if spill is not None else 65536
-        )
         if fused is not None:
             self._attach_fused_sink()
 
@@ -184,20 +145,13 @@ class HookRuntime:
         self.profile: Optional[KernelProfile] = None
         self.on_complete = None  # callable(profile), set by the session
 
-    @property
-    def _on_corrupt(self) -> str:
-        return "drop" if self._spill is None else self._spill.on_corrupt
-
     def _attach_fused_sink(self) -> None:
-        """Wire the current buffers into a fresh fused bank + drain."""
+        """Wire the current buffers into a fresh bank."""
         self._fused_bank = self._fused.create_bank()
-        self._fused_drain = StreamDrain(
-            self._fused_bank, self.sample_rate, self._capacity,
-            self._on_corrupt,
-        )
         self._fused_sink = FusedSink(
-            self._fused_drain, self.memory_buffer, self.block_buffer,
-            self.arith_buffer, self._fused_flush_rows,
+            self._fused_bank, self.memory_buffer, self.block_buffer,
+            self.arith_buffer, self.sample_rate, self._capacity,
+            self._flush_rows,
         )
 
     @property
@@ -206,27 +160,20 @@ class HookRuntime:
         return self._fused is not None
 
     def disable_fused(self) -> None:
-        """Back out of fused mode before any hook fires.
+        """Back out of in-flight analysis before any hook fires.
 
         Called by ``Device.launch`` (after degrading with
         ``FUSED_RECORDS_UNAVAILABLE``) when the launch needs raw trace
         records -- e.g. pc sampling. The buffers are still empty, so
-        they are rebuilt with the classic capacity/spill wiring and the
-        launch materializes its trace exactly as a non-fused run.
+        unhooking them is enough: the launch keeps its trace in RAM
+        exactly as a run without an analyzer plan.
         """
         if self._fused is None:
             return
         self._fused_sink.detach()
         self._fused = None
         self._fused_bank = None
-        self._fused_drain = None
         self._fused_sink = None
-        event_capacity = (
-            self._capacity if self.sample_rate == 1 else None
-        )
-        self.memory_buffer = ColumnarMemoryBuffer(event_capacity, self._spill)
-        self.block_buffer = ColumnarBlockBuffer(self._capacity, self._spill)
-        self.arith_buffer = ColumnarArithBuffer(event_capacity, self._spill)
 
     # -- interpreter-facing API -----------------------------------------------------
     def kernel_begin(self, launch_info: dict) -> None:
@@ -249,10 +196,9 @@ class HookRuntime:
             raise ProfilerError(f"unknown hook @{name}")
 
     def kernel_end(self, launch_result) -> None:
-        if self._fused is not None or self._streaming is not None:
-            self._kernel_end_bank(launch_result)
+        if self._fused is not None:
+            self._kernel_end_in_flight(launch_result)
             return
-        info = self._launch_info or {}
         memory = self.memory_buffer.drain()
         arith = self.arith_buffer.drain()
         block = self.block_buffer.drain()
@@ -263,11 +209,42 @@ class HookRuntime:
             clipped += n
             arith, n = clip_to_capacity(arith, self._capacity)
             clipped += n
+        self._complete(launch_result, memory, block, arith, clipped)
+
+    def _kernel_end_in_flight(self, launch_result) -> None:
+        """Finish a launch whose rows streamed through the bank.
+
+        Own rows (and any fork shards' rows, absorbed in SM order)
+        already went through the bank; only a sub-window tail remains
+        to flush. Stride sampling and capacity ran on the sink's
+        cursors, so the kept rows match the in-RAM path exactly.
+        """
+        sink, bank = self._fused_sink, self._fused_bank
+        sink.flush()
+        # The buffers' sinks are bound methods of the sink, which holds
+        # the buffers: unhook so nothing outlives the launch through
+        # that cycle.
+        sink.detach()
+        # Finalize results and release cursor state: the profile keeps
+        # the bank for the session, so only one launch's cursors are
+        # ever alive at a time.
+        bank.seal()
+        stats = sink.stats
+        self._complete(
+            launch_result,
+            StreamedRecords("memory", stats.memory_rows),
+            StreamedRecords("block", stats.block_rows),
+            StreamedRecords("arith", stats.arith_rows),
+            sink.clipped,
+            aggregates=bank,
+            stream_stats=stats.as_dict(),
+        )
+
+    def _complete(self, launch_result, memory, block, arith, clipped,
+                  **analyzed) -> None:
+        info = self._launch_info or {}
         buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
-        corrupt = sum(b.corrupt_dropped for b in buffers)
-        if corrupt:
-            self._report_corruption(corrupt)
-        self._complete(KernelProfile(
+        self.profile = KernelProfile(
             kernel=self.kernel,
             host_call_path=self.host_call_path,
             launch_site=self.launch_site,
@@ -282,112 +259,10 @@ class HookRuntime:
             functions_by_id=self.image.functions_by_id,
             dropped_records=sum(b.dropped for b in buffers) + clipped,
             launch_result=launch_result,
-            spilled_records=sum(b.spilled for b in buffers),
-            corrupt_records=corrupt,
-        ))
-
-    def _kernel_end_bank(self, launch_result) -> None:
-        """Finish a launch whose rows went through an analyzer bank.
-
-        In flight (``fused``), own rows already streamed through the
-        bank during execution and only a sub-segment tail remains to
-        flush. The streaming drain instead pushes the spill segments
-        through a fresh bank one at a time (O(segment) peak memory,
-        files deleted as consumed). Either way shard states merge
-        first, in SM order -- safe for the fused bank because a
-        fork-parallel launch never dispatches hooks in the parent --
-        and stride sampling and capacity run on the drain's cursors, so
-        the kept rows match the in-RAM drain exactly.
-        """
-        info = self._launch_info or {}
-        if self._fused is not None:
-            bank, drain = self._fused_bank, self._fused_drain
-        else:
-            bank = self._streaming.create_bank()
-            drain = StreamDrain(
-                bank, self.sample_rate, self._capacity, self._on_corrupt
-            )
-        shard_dropped = shard_spilled = shard_corrupt = 0
-        states, self._shard_states = self._shard_states, []
-        for state in states:
-            acct = state["accounting"]
-            shard_dropped += acct["dropped"]
-            shard_spilled += acct["spilled"]
-            shard_corrupt += acct["corrupt"]
-            if "bank" in state:
-                # Exact aggregate-to-aggregate merge (no sampling or
-                # capacity in play -- see export_shard).
-                bank.merge(state["bank"])
-                drain.stats.absorb(state["stats"])
-            else:
-                drain.feed_shard_state(state)
-        if self._fused is not None:
-            self._fused_sink.flush()
-            # The buffers' sinks are bound methods of the sink, which
-            # holds the buffers: unhook so nothing outlives the launch
-            # through that cycle.
-            self._fused_sink.detach()
-        else:
-            drain.feed_buffers(
-                self.memory_buffer, self.block_buffer, self.arith_buffer
-            )
-        buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
-        corrupt = (
-            sum(b.corrupt_dropped for b in buffers)
-            + drain.corrupt_rows
-            + shard_corrupt
+            **analyzed,
         )
-        if corrupt:
-            self._report_corruption(corrupt)
-        # Finalize results and release cursor state: the profile keeps
-        # the bank for the session, so only one launch's drain-time
-        # state is ever alive at a time.
-        bank.seal()
-        stats = drain.stats
-        self._complete(KernelProfile(
-            kernel=self.kernel,
-            host_call_path=self.host_call_path,
-            launch_site=self.launch_site,
-            grid=info.get("grid", (0, 0, 0)),
-            block=info.get("block", (0, 0, 0)),
-            num_ctas=info.get("num_ctas", 0),
-            warps_per_cta=info.get("warps_per_cta", 0),
-            memory_records=StreamedRecords("memory", stats.memory_rows),
-            block_records=StreamedRecords("block", stats.block_rows),
-            arith_records=StreamedRecords("arith", stats.arith_rows),
-            call_paths=self.call_paths,
-            functions_by_id=self.image.functions_by_id,
-            dropped_records=(
-                sum(b.dropped for b in buffers)  # includes own corrupt
-                + drain.clipped
-                + drain.corrupt_rows
-                + shard_dropped
-            ),
-            launch_result=launch_result,
-            spilled_records=sum(b.spilled for b in buffers) + shard_spilled,
-            corrupt_records=corrupt,
-            aggregates=bank,
-            stream_stats=stats.as_dict(),
-        ))
-
-    def _complete(self, profile: KernelProfile) -> None:
-        self.profile = profile
         if self.on_complete is not None:
-            self.on_complete(profile)
-
-    def _report_corruption(self, rows: int) -> None:
-        """Surface dropped-corrupt-segment rows through the supervisor."""
-        device = getattr(self.image, "device", None)
-        supervisor = getattr(device, "supervisor", None)
-        if supervisor is not None:
-            supervisor.degrade(
-                TRACE_SEGMENT_CORRUPT,
-                self.kernel,
-                f"{rows} trace rows lost to corrupted spill segments "
-                f"for kernel {self.kernel!r}; analyses run on the "
-                f"surviving rows",
-                rows=rows,
-            )
+            self.on_complete(self.profile)
 
     # -- parallel-launch sharding -------------------------------------------------------
     def reset_for_shard(self) -> None:
@@ -395,53 +270,29 @@ class HookRuntime:
 
         Shard buffers are uncapped: the parent enforces the global
         capacity when it absorbs the shards in SM order, so the drop set
-        matches a serial run exactly. Spill stays active (a shard's
-        segments are written and drained inside the worker).
+        matches a serial run exactly.
         """
-        shard_spill = None if self._fused is not None else self._spill
-        self.memory_buffer = ColumnarMemoryBuffer(None, shard_spill)
-        self.block_buffer = ColumnarBlockBuffer(None, shard_spill)
-        self.arith_buffer = ColumnarArithBuffer(None, shard_spill)
+        self.memory_buffer = ColumnarMemoryBuffer()
+        self.block_buffer = ColumnarBlockBuffer()
+        self.arith_buffer = ColumnarArithBuffer()
         self.call_paths = CallPathRegistry()
         self._seq = 0
         self._warp_stacks = {}
         self._warp_path_ids = {}
-        self._shard_states = []
-        if self._fused is not None:
-            if self.sample_rate == 1 and self._capacity is None:
-                # The shard's kept rows are exactly its trace, so it
-                # can fuse locally and ship its bank.
-                self._attach_fused_sink()
-            else:
-                # Stride phase / keep-first cutoff depend on earlier
-                # shards' row counts: materialize in RAM and relay the
-                # rows for the parent's running cursors.
-                self._fused_bank = None
-                self._fused_drain = None
-                self._fused_sink = None
+        self._fused_bank = None
+        self._fused_sink = None
+        if (self._fused is not None and self.sample_rate == 1
+                and self._capacity is None):
+            # The shard's kept rows are exactly its trace, so it can
+            # analyze in flight locally and ship its bank. Otherwise the
+            # stride phase / keep-first cutoff depend on earlier shards'
+            # row counts: the shard keeps its rows in RAM and ships the
+            # columns for the parent's running cursors.
+            self._attach_fused_sink()
 
     def export_shard(self) -> dict:
-        """Pickleable trace state a shard worker sends back.
-
-        In-RAM launches ship their drained columns. Bank launches ship
-        a bank when the shard's kept rows are exactly its trace (no
-        sampling, no capacity): the fused bank already holds them, a
-        streaming worker drains its own spill through a fresh bank, and
-        the parent merges aggregate-to-aggregate. Otherwise (stride
-        phase / keep-first cutoff depend on predecessor shards' row
-        counts) the worker relays its spill segment **files** plus the
-        in-memory tails, and the parent streams them through its own
-        drain with running cursors.
-        """
-        if self._fused is None and self._streaming is None:
-            return {
-                "memory": self.memory_buffer.drain(),
-                "block": self.block_buffer.drain(),
-                "arith": self.arith_buffer.drain(),
-                "paths": list(self.call_paths._paths),
-                "seq_total": self._seq,
-            }
-        buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
+        """Pickleable trace state a shard worker sends back: its bank
+        when it analyzed in flight, else its drained columns."""
         state = {
             "paths": list(self.call_paths._paths),
             "seq_total": self._seq,
@@ -450,23 +301,11 @@ class HookRuntime:
             self._fused_sink.flush()
             self._fused_sink.detach()
             state["bank"] = self._fused_bank
-            state["stats"] = self._fused_drain.stats.as_dict()
-        elif (self._streaming is not None and self.sample_rate == 1
-              and self._capacity is None):
-            bank = self._streaming.create_bank()
-            drain = StreamDrain(bank, 1, None, self._on_corrupt)
-            drain.feed_buffers(*buffers)
-            state["bank"] = bank
-            state["stats"] = drain.stats.as_dict()
+            state["stats"] = self._fused_sink.stats.as_dict()
         else:
-            for kind, buffer in zip(("memory", "block", "arith"), buffers):
-                state[kind] = buffer.export_stream_state()
-        # After the feed / detach, so worker-side corrupt drops count.
-        state["accounting"] = {
-            "dropped": sum(b.dropped for b in buffers),
-            "spilled": sum(b.spilled for b in buffers),
-            "corrupt": sum(b.corrupt_dropped for b in buffers),
-        }
+            state["memory"] = self.memory_buffer.drain()
+            state["block"] = self.block_buffer.drain()
+            state["arith"] = self.arith_buffer.drain()
         return state
 
     def absorb_shards(self, shard_states) -> None:
@@ -476,37 +315,35 @@ class HookRuntime:
         buffers share one counter, so a shard's local seqs are already
         dense and ordered), and call-path ids are re-interned into the
         parent registry in shard order -- first-encounter order across
-        the concatenated stream, identical to a serial run.
+        the concatenated stream, identical to a serial run. Shard banks
+        merge into the parent's bank; shard columns go through the
+        parent's in-flight sink, or into its buffers when it keeps
+        records. A fork-parallel launch never dispatches hooks in the
+        parent, so nothing else reaches the bank in between.
         """
-        if self._streaming is not None or self._fused is not None:
-            # Streaming/fused mode defers consumption to kernel_end: stash
-            # the states in SM order, keep the call-path registry's
-            # first-encounter order identical to the in-RAM remap, and
-            # advance the seq counter. Relayed columns keep their
-            # worker-local seqs / path ids -- the drain's running rank
-            # only needs within-shard seq order, and no aggregate
-            # reads call_path_id.
-            for state in shard_states:
-                for p in state["paths"]:
-                    self.call_paths.intern(p)
-                self._seq += state["seq_total"]
-                self._shard_states.append(state)
-            return
         for state in shard_states:
             remap = np.array(
                 [self.call_paths.intern(p) for p in state["paths"]],
                 dtype=np.int64,
             )
-            offset = self._seq
-            for cols, buffer in (
-                (state["memory"], self.memory_buffer),
-                (state["block"], self.block_buffer),
-                (state["arith"], self.arith_buffer),
-            ):
-                if len(cols):
-                    cols.seq = cols.seq + offset
-                    cols.call_path_id = remap[cols.call_path_id]
-                buffer.extend(cols)
+            if "bank" in state:
+                self._fused_bank.merge(state["bank"])
+                self._fused_sink.stats.absorb(state["stats"])
+            else:
+                offset = self._seq
+                columns = (state["memory"], state["block"], state["arith"])
+                for cols in columns:
+                    if len(cols):
+                        cols.seq = cols.seq + offset
+                        cols.call_path_id = remap[cols.call_path_id]
+                if self._fused_sink is not None:
+                    self._fused_sink.feed_columns(*columns)
+                else:
+                    for cols, buffer in zip(columns, (
+                        self.memory_buffer, self.block_buffer,
+                        self.arith_buffer,
+                    )):
+                        buffer.extend(cols)
             self._seq += state["seq_total"]
 
     # -- hook implementations ----------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.host.runtime import DeviceAllocationRecord, MemcpyRecord
 from repro.host.shadow_stack import HostFrame
 from repro.profiler.datacentric import DataCentricMap
 from repro.profiler.profiler import HookRuntime, KernelProfile
-from repro.reliability.spill import SpillConfig
 
 #: Process-local instrumentation counters.  ``sessions_created`` bumps
 #: per :class:`ProfilingSession`, ``launches_profiled`` per hooked
@@ -30,42 +29,22 @@ SESSION_COUNTERS = {"sessions_created": 0, "launches_profiled": 0}
 class ProfilingSession:
     """Collects profiles and interposition records for one program run.
 
-    ``spill_dir``/``spill_rows`` arm disk spill on the per-launch trace
-    buffers: whenever a columnar buffer holds ``spill_rows`` rows they
-    are written to a checksummed segment under ``spill_dir`` and read
-    back transparently at kernel exit, so arbitrarily long launches
-    never exhaust memory (see ``docs/reliability.md``). A prebuilt
-    :class:`~repro.reliability.spill.SpillConfig` can be passed as
-    ``spill`` instead.
-
-    ``streaming`` takes an
-    :class:`~repro.analysis.aggregates.AnalyzerPlan`: each launch then
-    drains its trace *through* the plan's analyzer bank one spill
-    segment at a time (O(segment) peak memory) and the resulting
-    profiles carry ``aggregates`` instead of materialized records.
-
-    ``fused`` takes the same kind of plan but analyzes rows *during*
-    execution: buffered rows flush into the bank at segment granularity
-    and the trace is never spilled or drained at all -- byte-identical
-    results, minus the round-trip. This is how
+    ``fused`` takes an :class:`~repro.analysis.aggregates.AnalyzerPlan`
+    and analyzes rows *during* execution: buffered rows flush into the
+    plan's analyzer bank every
+    :data:`~repro.profiler.streamdrain.FLUSH_ROWS` rows, the trace is
+    never materialized, and the resulting profiles carry
+    ``aggregates`` instead of records. This is how
     :class:`~repro.optim.advisor.CUDAAdvisor` profiles unless asked to
-    keep records. With neither plan, launches materialize their trace.
+    keep records. Without a plan, launches keep their trace in RAM.
     """
 
     def __init__(self, buffer_capacity: Optional[int] = None,
                  sample_rate: int = 1,
-                 spill_dir: Optional[str] = None,
-                 spill_rows: int = 65536,
-                 spill: Optional[SpillConfig] = None,
-                 streaming=None,
                  fused=None):
         SESSION_COUNTERS["sessions_created"] += 1
         self.buffer_capacity = buffer_capacity
         self.sample_rate = sample_rate
-        if spill is None and spill_dir is not None:
-            spill = SpillConfig(directory=spill_dir, segment_rows=spill_rows)
-        self.spill = spill
-        self.streaming = streaming
         self.fused = fused
         self.profiles: List[KernelProfile] = []
         self.host_buffers: List[HostBuffer] = []
@@ -107,8 +86,6 @@ class ProfilingSession:
             launch_site,
             buffer_capacity=self.buffer_capacity,
             sample_rate=self.sample_rate,
-            spill=self.spill,
-            streaming=self.streaming,
             fused=self.fused,
         )
         hooks.on_complete = self.profiles.append

@@ -88,10 +88,7 @@ _SPEC_FIELDS = (
 )
 
 #: execution-hint keys forwarded to the worker (never part of the key).
-_HINT_FIELDS = (
-    "backend", "parallel_workers", "failure_policy", "spill_dir",
-    "spill_rows",
-)
+_HINT_FIELDS = ("backend", "parallel_workers", "failure_policy")
 
 
 def _canonical_kwargs(app_kwargs: Optional[dict]) -> tuple:

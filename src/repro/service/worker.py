@@ -37,7 +37,7 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
 
     ``hints`` carries execution knobs that may change *how* the job
     runs but never its payload bytes (backend, shard workers, failure
-    policy, spill) -- the export document is invariant under all of
+    policy) -- the export document is invariant under all of
     them by construction, which this function leans on. Jobs analyze in
     flight, like every :class:`CUDAAdvisor` profile.
     """
@@ -62,8 +62,6 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
         backend=hints.get("backend"),
         parallel_workers=hints.get("parallel_workers"),
         failure_policy=hints.get("failure_policy"),
-        spill_dir=hints.get("spill_dir"),
-        spill_rows=hints.get("spill_rows") or 65536,
         **kwargs,
     )
     report = advisor.profile(build_app(spec.app, **dict(spec.app_kwargs)))

@@ -48,10 +48,6 @@ class TestProfile:
         assert main(["profile", "nn", "--modes", "memory,quantum"]) == 2
         assert "unknown analysis mode 'quantum'" in capsys.readouterr().err
 
-    def test_conflicting_spill_knobs_rejected(self, capsys):
-        assert main(["profile", "nn", "--spill-rows", "128"]) == 2
-        assert "--spill-rows needs --spill-dir" in capsys.readouterr().err
-
     def test_bad_sample_rate_rejected(self, capsys):
         assert main(["profile", "nn", "--sample-rate", "0"]) == 2
         assert "--sample-rate must be >= 1" in capsys.readouterr().err
@@ -62,10 +58,12 @@ class TestProfile:
 
     @pytest.mark.parametrize("flag", [
         "--fused", "--streaming-drain", "--drain-workers=2",
+        "--spill-dir=/tmp/x", "--spill-rows=64",
     ])
     def test_removed_drain_flags_rejected(self, capsys, flag):
-        # In-flight analysis is the only analysis path now; the old
-        # per-path switches are usage errors, not silent no-ops.
+        # In flight or kept in RAM are the only ways a trace moves; the
+        # old per-path and disk-spill switches are usage errors, not
+        # silent no-ops.
         with pytest.raises(SystemExit) as exc:
             main(["profile", "nn", flag])
         assert exc.value.code == 2

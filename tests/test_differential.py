@@ -1,25 +1,28 @@
 """One analysis path, checked against record-at-a-time oracles.
 
 Every analysis runs through the mergeable aggregates of
-``analysis/aggregates.py``: in flight by default, through the streaming
-drain for spilled sessions, and -- for profiles that keep their records
--- over the materialized trace fed as one segment. Instead of pinning
-those feeds against each other pairwise, this suite computes every
-result a second way, one record at a time with the scalar definitions
-(``reuse_distances_of_trace``, ``stack_distances``, per-record
-``divergence_degree``, ``BranchDivergenceProfile.add``, a per-lane heat
-map), and requires exact equality -- dict order included:
+``analysis/aggregates.py``: in flight by default, and -- for profiles
+that keep their records -- over the materialized trace fed as one
+segment. Instead of pinning those feeds against each other pairwise,
+this suite computes every result a second way, one record at a time
+with the scalar definitions (``reuse_distances_of_trace``,
+``stack_distances``, per-record ``divergence_degree``,
+``BranchDivergenceProfile.add``, a per-lane heat map), and requires
+exact equality -- dict order included:
 
 * **Property tests** (hypothesis) push random interleaved
   memory/block/arith streams through the in-flight path at flush
-  granularities down to one row, through spilled buffers and the
-  streaming drain down to ``segment_rows=1``, and through CTA-disjoint
-  fork shards whose banks merge -- under stride-sampling phases,
-  keep-first capacity, and both reuse-distance write rules.
+  granularities down to one row, through CTA-disjoint fork shards
+  whose banks merge, and through shards whose drained columns the
+  parent feeds in SM order -- under stride-sampling phases, keep-first
+  capacity, and both reuse-distance write rules.
 * **App level**: the default (in-flight) ``CUDAAdvisor`` report and its
   ``export_json`` bytes must equal a ``keep_records=True`` run, and its
   analyses must equal the oracles over the kept records -- serial,
-  batched backend, fork-parallel shards, sampled and capped.
+  batched backend, fork-parallel shards (bank merge, sampled and
+  capped), sampled and capped. Launches that need raw records (pc
+  sampling) fall back to kept records; in-flight profiles keep their
+  row counts but refuse element access.
 """
 
 from collections import Counter
@@ -41,9 +44,17 @@ from repro.analysis.reuse_distance import (
     reuse_distances_of_trace,
 )
 from repro.apps import build_app
+from repro.errors import LaunchDegradedWarning, ProfilerError
 from repro.export import export_json, profile_export
+from repro.frontend.dsl import compile_kernels
+from repro.gpu.arch import KEPLER_K40C
 from repro.gpu.coalescing import divergence_degree
+from repro.gpu.device import Device
 from repro.optim.advisor import CUDAAdvisor
+from repro.passes.pipeline import (
+    instrumentation_pipeline,
+    optimization_pipeline,
+)
 from repro.profiler.buffers import (
     ColumnarArithBuffer,
     ColumnarBlockBuffer,
@@ -51,9 +62,12 @@ from repro.profiler.buffers import (
     clip_to_capacity,
     stride_sample,
 )
+from repro.profiler.pc_sampling import PCSampler
+from repro.profiler.profiler import HookRuntime
 from repro.profiler.records import MemoryOp
-from repro.profiler.streamdrain import FusedSink, StreamDrain
-from repro.reliability.spill import SpillConfig
+from repro.profiler.streamdrain import FLUSH_ROWS, FusedSink
+from repro.reliability.supervisor import FUSED_RECORDS_UNAVAILABLE
+from tests.conftest import KERNELS
 
 WARP = 4
 LINE = 64
@@ -272,10 +286,8 @@ def _append(event, seq, mem, block, arith):
         )
 
 
-def _buffers(spill=None):
-    return (ColumnarMemoryBuffer(None, spill),
-            ColumnarBlockBuffer(None, spill),
-            ColumnarArithBuffer(None, spill))
+def _buffers():
+    return ColumnarMemoryBuffer(), ColumnarBlockBuffer(), ColumnarArithBuffer()
 
 
 def _fill(events, buffers):
@@ -303,8 +315,7 @@ def _in_flight(events, flush_rows, rate=1, capacity=None,
     """Rows analyzed as they are appended (the default profile path)."""
     buffers = _buffers()
     bank = _plan(write_restart).create_bank()
-    sink = FusedSink(StreamDrain(bank, rate, capacity), *buffers,
-                     flush_rows)
+    sink = FusedSink(bank, *buffers, rate, capacity, flush_rows)
     _fill(events, buffers)
     sink.flush()
     return bank
@@ -330,27 +341,6 @@ class TestAggregatesMatchOracles:
     @settings(max_examples=30, deadline=None)
     @given(
         events=_EVENTS,
-        segment_rows=st.integers(1, 9),
-        rate=st.sampled_from([1, 2, 3]),
-        capacity=st.sampled_from([None, 4]),
-    )
-    def test_spilled_streaming_drain(self, tmp_path_factory, events,
-                                     segment_rows, rate, capacity):
-        spill = SpillConfig(
-            directory=str(tmp_path_factory.mktemp("seg")),
-            segment_rows=segment_rows,
-        )
-        buffers = _buffers(spill)
-        _fill(events, buffers)
-        bank = _plan().create_bank()
-        StreamDrain(bank, rate, capacity).feed_buffers(*buffers)
-        assert_bank_matches_oracles(
-            bank, *_kept_records(events, rate, capacity)
-        )
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        events=_EVENTS,
         flush_rows=st.integers(1, 9),
         pivot=st.integers(0, 3),
     )
@@ -367,26 +357,61 @@ class TestAggregatesMatchOracles:
             bank, *(a + b for a, b in zip(lo, hi))
         )
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        events=_EVENTS,
+        pivot=st.integers(0, 3),
+        rate=st.sampled_from([1, 2, 3]),
+        capacity=st.sampled_from([None, 4]),
+    )
+    def test_fork_shard_columns_feed(self, events, pivot, rate, capacity):
+        # Under sampling or capacity a shard ships its drained columns
+        # (worker-local seqs) and the parent feeds them, offset, through
+        # its own sink in shard order: each shard is one complete seq
+        # window, so the running stride rank and keep-first cursors see
+        # the concatenated trace.
+        shards = ([e for e in events if e[1] <= pivot],
+                  [e for e in events if e[1] > pivot])
+        bank = _plan().create_bank()
+        sink = FusedSink(bank, *_buffers(), rate, capacity)
+        offset = 0
+        for shard in shards:
+            columns = _buffers()
+            _fill(shard, columns)
+            drained = [buffer.drain() for buffer in columns]
+            for cols in drained:
+                cols.seq = cols.seq + offset
+            sink.feed_columns(*drained)
+            offset += len(shard)
+        sink.flush()
+        assert_bank_matches_oracles(
+            bank, *_kept_records(shards[0] + shards[1], rate, capacity)
+        )
+
 
 # -- app level -------------------------------------------------------------------
 
 MODES = ("memory", "blocks", "arith")
-APP = ("bfs", {"num_nodes": 256})
+APPS = [
+    ("bfs", {"num_nodes": 128}),
+    ("hotspot", {"n": 32, "steps": 2}),
+]
 
 CONFIGS = {
     "serial": {},
     "batched": {"backend": "batched"},
     "fork-shards": {"parallel_workers": 4},
     "sampled-shards": {"parallel_workers": 4, "sample_rate": 3},
+    "capped-shards": {"parallel_workers": 4, "buffer_capacity": 60},
     "capped": {"buffer_capacity": 60},
 }
 
 
-def _report(keep_records, **knobs):
+def _report(app, keep_records, **knobs):
     advisor = CUDAAdvisor(modes=MODES, measure_overhead=False,
                           heatmap=True, heatmap_cell_rows=32,
                           keep_records=keep_records, **knobs)
-    return advisor.profile(build_app(APP[0], **APP[1]))
+    return advisor.profile(build_app(app[0], **app[1]))
 
 
 def _merged_oracle(profiles, oracle, total, records="memory_records"):
@@ -397,31 +422,111 @@ def _merged_oracle(profiles, oracle, total, records="memory_records"):
 
 @pytest.mark.parametrize("config", list(CONFIGS))
 def test_report_matches_keep_records_and_oracles(config):
-    in_flight = _report(False, **CONFIGS[config])
-    kept = _report(True, **CONFIGS[config])
-    assert all(p.aggregates is not None for p in in_flight.session.profiles)
-    assert all(p.aggregates is None for p in kept.session.profiles)
-    assert export_json(profile_export(in_flight)) == export_json(
-        profile_export(kept)
-    )
+    for app in APPS:
+        in_flight = _report(app, False, **CONFIGS[config])
+        kept = _report(app, True, **CONFIGS[config])
+        assert all(
+            p.aggregates is not None for p in in_flight.session.profiles
+        )
+        assert all(p.aggregates is None for p in kept.session.profiles)
+        assert export_json(profile_export(in_flight)) == export_json(
+            profile_export(kept)
+        ), app
 
-    profiles = kept.session.profiles
-    line = in_flight.arch.l1_line_size
-    for attr, model in (("reuse_element", ELEMENT),
-                        ("reuse_cache_line", CACHE_LINE)):
-        assert getattr(in_flight, attr) == _merged_oracle(
-            profiles, lambda rs: oracle_reuse(rs, model, line),
-            ReuseDistanceHistogram(model=model),
-        ), attr
-    assert in_flight.memory_divergence == _merged_oracle(
-        profiles, lambda rs: oracle_memory_divergence(rs, line),
-        MemoryDivergenceProfile(line_size=line),
-    )
-    assert _branch_view(in_flight.branch_divergence) == _branch_view(
-        _merged_oracle(profiles, oracle_branch, BranchDivergenceProfile(),
-                       "block_records")
-    )
-    assert _arith_view(in_flight.arithmetic) == _arith_view(
-        _merged_oracle(profiles, oracle_arith, ArithmeticProfile(),
-                       "arith_records")
-    )
+        profiles = kept.session.profiles
+        line = in_flight.arch.l1_line_size
+        for attr, model in (("reuse_element", ELEMENT),
+                            ("reuse_cache_line", CACHE_LINE)):
+            assert getattr(in_flight, attr) == _merged_oracle(
+                profiles, lambda rs: oracle_reuse(rs, model, line),
+                ReuseDistanceHistogram(model=model),
+            ), (app, attr)
+        assert in_flight.memory_divergence == _merged_oracle(
+            profiles, lambda rs: oracle_memory_divergence(rs, line),
+            MemoryDivergenceProfile(line_size=line),
+        ), app
+        assert _branch_view(in_flight.branch_divergence) == _branch_view(
+            _merged_oracle(profiles, oracle_branch,
+                           BranchDivergenceProfile(), "block_records")
+        ), app
+        assert _arith_view(in_flight.arithmetic) == _arith_view(
+            _merged_oracle(profiles, oracle_arith, ArithmeticProfile(),
+                           "arith_records")
+        ), app
+
+
+def assert_in_flight_matches_kept(in_flight, kept):
+    """In-flight profiles vs a kept-records run of the same launches:
+    identical accounting, call paths and launch statistics, and every
+    full-plan result equal to its oracle over the kept records."""
+    assert len(in_flight) == len(kept)
+    for p, q in zip(in_flight, kept):
+        assert q.aggregates is None
+        for stream in ("memory_records", "block_records", "arith_records"):
+            assert len(getattr(p, stream)) == len(getattr(q, stream))
+        assert p.dropped_records == q.dropped_records
+        assert [p.call_paths.path(i) for i in range(len(p.call_paths))] == [
+            q.call_paths.path(i) for i in range(len(q.call_paths))
+        ]
+        a, b = p.launch_result, q.launch_result
+        assert (a.cycles, a.instructions, a.transactions, a.branches,
+                a.divergent_branches, a.cache) == (
+            b.cycles, b.instructions, b.transactions, b.branches,
+            b.divergent_branches, b.cache)
+        assert_bank_matches_oracles(
+            p.aggregates, list(q.memory_records), list(q.block_records),
+            list(q.arith_records),
+        )
+
+
+class TestInFlightProfiles:
+    def test_records_keep_length_but_refuse_access(self):
+        report = _report(APPS[0], False)
+        kept = _report(APPS[0], True)
+        for p, q in zip(report.session.profiles, kept.session.profiles):
+            assert len(p.memory_records) == len(q.memory_records) > 0
+            assert "streamed" in repr(p.memory_records)
+        records = report.session.profiles[0].memory_records
+        with pytest.raises(ProfilerError, match="in flight"):
+            records[0]
+        with pytest.raises(ProfilerError, match="keep_records=True"):
+            list(records)
+        with pytest.raises(ProfilerError):
+            report.session.profiles[0].memory_records_by_cta()
+
+    def test_resident_rows_bounded_by_flush_window(self):
+        # hotspot's launches each keep more rows than one flush window:
+        # the sink never holds a whole launch's trace at once.
+        report = _report(("hotspot", {"n": 64, "steps": 2}), False)
+        for profile in report.session.profiles:
+            stats = profile.stream_stats
+            kept = (stats["memory_rows"] + stats["block_rows"]
+                    + stats["arith_rows"])
+            assert kept > 2 * FLUSH_ROWS
+            assert 0 < stats["peak_resident_rows"] < 2 * FLUSH_ROWS
+            assert stats["segments_streamed"] >= 3
+
+    def test_pc_sampling_disables_in_flight(self):
+        module = compile_kernels([KERNELS["strided_sum"]], "m")
+        optimization_pipeline().run(module)
+        instrumentation_pipeline(["memory"]).run(module)
+        device = Device(KEPLER_K40C)
+        image = device.load_module(module)
+        hooks = HookRuntime(image, "strided_sum", (), "x", fused=_plan())
+        assert hooks.fused
+        sampler = PCSampler(period=16)
+        data = np.arange(256, dtype=np.float32)
+        dx = device.malloc(data.nbytes)
+        do = device.malloc(4 * 64)
+        device.memcpy_htod(dx, data)
+        with pytest.warns(LaunchDegradedWarning, match="pc sampling"):
+            device.launch(image, "strided_sum", 1, 64, [dx, do, 256, 3],
+                          hooks=hooks, pc_sampler=sampler)
+        # The launch kept a classic trace: real records, no bank, and
+        # the sampler got its PCs.
+        assert not hooks.fused
+        assert hooks.profile.aggregates is None
+        assert len(hooks.profile.memory_records) > 0
+        assert sampler.profile.total_samples > 0
+        events = device.supervisor.events_for(FUSED_RECORDS_UNAVAILABLE)
+        assert len(events) == 1

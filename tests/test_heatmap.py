@@ -5,14 +5,15 @@ byte-identical ``(granule, time-cell)`` tables no matter how the trace
 reaches it:
 
 * **Property tests** (hypothesis) compare one whole-trace update
-  against random segment splits (the streaming drain), CTA-partition
-  shard merges (fork-parallel workers), and the full streaming drain
-  with stride sampling -- cells must match bit-for-bit.
+  against random segment splits (in-flight flushes) and CTA-partition
+  shard merges (fork-parallel workers) -- cells must match bit-for-bit;
+  sampled in-flight feeds are checked against a per-lane oracle by
+  ``tests/test_differential.py``.
 * **Resolution tests** pin the granule->allocation join: exact
   unique-byte counts under time re-binning, the ``(unmapped)`` row,
   and the launch-concatenating cross-launch merge.
-* **App-level tests** run an instrumented program through the in-RAM
-  and streaming drains and require identical resolved heat maps.
+* **App-level tests** run an instrumented program in flight and with
+  kept records and require identical resolved heat maps.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.aggregates import advisor_plan
 from repro.analysis.heatmap import (
     DEFAULT_GRANULE,
     HeatmapAggregate,
@@ -31,14 +31,7 @@ from repro.analysis.report import render_heatmap
 from repro.apps import build_app
 from repro.errors import AnalysisError
 from repro.optim.advisor import CUDAAdvisor
-from repro.profiler.buffers import (
-    ColumnarArithBuffer,
-    ColumnarBlockBuffer,
-    ColumnarMemoryBuffer,
-    stride_sample,
-)
-from repro.profiler.streamdrain import StreamDrain
-from repro.reliability.spill import SpillConfig
+from repro.profiler.buffers import ColumnarMemoryBuffer
 
 WARP = 4
 
@@ -54,8 +47,8 @@ _EVENTS = st.lists(
 )
 
 
-def _build_memory(events, spill=None):
-    buf = ColumnarMemoryBuffer(None, spill)
+def _build_memory(events):
+    buf = ColumnarMemoryBuffer(None)
     for seq, (cta, sel, write, msel) in enumerate(events):
         addrs = (
             0x1000
@@ -115,36 +108,6 @@ class TestDrainInvariance:
             high.update(cols.take(np.flatnonzero(~sel)))
         low.merge(high)
         assert _cells_equal(low.finalize(), _whole_trace_table(events))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        events=_EVENTS,
-        segment_rows=st.integers(1, 13),
-        rate=st.sampled_from([1, 2, 3]),
-    )
-    def test_streaming_drain_with_sampling(
-        self, tmp_path_factory, events, segment_rows, rate
-    ):
-        spill = SpillConfig(
-            directory=str(tmp_path_factory.mktemp("seg")),
-            segment_rows=segment_rows,
-        )
-        mem = _build_memory(events, spill)
-        plan = advisor_plan(64, ("memory",), heatmap_cell_rows=4)
-        bank = plan.create_bank()
-        StreamDrain(bank, sample_rate=rate).feed_buffers(
-            mem, ColumnarBlockBuffer(None, spill),
-            ColumnarArithBuffer(None, spill),
-        )
-
-        batch_cols = _build_memory(events).drain()
-        kept, _ = stride_sample(
-            batch_cols, ColumnarArithBuffer(None).drain(), rate
-        )
-        ref = HeatmapAggregate(cell_rows=4)
-        if len(kept):
-            ref.update(kept)
-        assert _cells_equal(bank.result("heatmap"), ref.finalize())
 
     def test_merge_rejects_mismatched_binning_and_shared_ctas(self):
         a, b = HeatmapAggregate(4), HeatmapAggregate(8)
@@ -280,11 +243,11 @@ class TestAppLevel:
     @pytest.mark.parametrize("app_name", ["nn", "bfs"])
     def test_in_ram_and_streaming_drains_agree(self, app_name):
         tables = []
-        for streaming in (False, True):
+        for keep_records in (True, False):
             adv = CUDAAdvisor(
                 modes=("memory", "blocks"),
                 measure_overhead=False,
-                keep_records=not streaming,
+                keep_records=keep_records,
                 heatmap=True,
             )
             report = adv.profile(build_app(app_name))

@@ -3,10 +3,10 @@
 Every rung of the degradation ladder (batched -> fork-parallel ->
 serial interpreter) is pinned here under both the ``strict`` and
 ``degrade`` failure policies, and the fault-injection framework drives
-worker crashes, shard hangs, buffer overflow and spill corruption
-through real instrumented launches.  The headline property: a
-fork-parallel launch completing *through* injected faults produces
-traces and statistics byte-identical to a fault-free serial run.
+worker crashes, shard hangs and buffer overflow (a tiny in-flight flush
+size) through real instrumented launches.  The headline property: a
+fork-parallel launch analyzed in flight *through* injected faults
+produces results and statistics identical to a fault-free serial run.
 """
 
 import multiprocessing
@@ -21,7 +21,6 @@ from repro.errors import (
     LaunchDegradedError,
     LaunchDegradedWarning,
     LaunchError,
-    TraceCorruptionError,
 )
 from repro.frontend import compile_kernels, kernel, ptr_i32
 from repro.gpu import Device, KEPLER_K40C
@@ -35,11 +34,10 @@ from repro.reliability import (
     REASON_CODES,
     FaultInjector,
     LaunchSupervisor,
-    SpillConfig,
 )
 from repro.reliability import supervisor as sup
-from repro.reliability.spill import read_segment, write_segment
 from tests.conftest import KERNELS
+from tests.test_differential import _plan, assert_in_flight_matches_kept
 from tests.test_fastpath_equivalence import (
     _assert_profiles_match,
     _profile_session,
@@ -115,8 +113,8 @@ class TestFaultInjector:
         assert len(inj.log) == 2
 
     def test_params_returned(self):
-        inj = FaultInjector().inject("buffer_overflow", segment_rows=64)
-        assert inj.fire("buffer_overflow", kernel="k") == {"segment_rows": 64}
+        inj = FaultInjector().inject("buffer_overflow", flush_rows=64)
+        assert inj.fire("buffer_overflow", kernel="k") == {"flush_rows": 64}
 
     def test_probability_is_seed_deterministic(self):
         def verdicts(seed):
@@ -134,55 +132,12 @@ class TestFaultInjector:
 
     def test_registry_constants(self):
         assert set(INJECTION_POINTS) == {
-            "worker_crash", "shard_hang", "buffer_overflow", "corrupt_spill",
+            "worker_crash", "shard_hang", "buffer_overflow",
             "service_worker_crash", "service_job_hang", "cache_corrupt_entry",
             "service_pool_loss",
         }
         assert len(REASON_CODES) == len(set(REASON_CODES))
         assert set(FAILURE_POLICIES) == {"strict", "degrade", "best_effort"}
-
-
-# -- spill segment files --------------------------------------------------------
-
-
-class TestSpillSegments:
-    def test_roundtrip(self, tmp_path):
-        config = SpillConfig(directory=str(tmp_path))
-        payload = {"a": np.arange(10), "b": ["x", "y"]}
-        path = write_segment(config, "memory", 0, payload, rows=10)
-        loaded = read_segment(path)
-        assert np.array_equal(loaded["a"], payload["a"])
-        assert loaded["b"] == payload["b"]
-
-    def test_corruption_detected_with_row_count(self, tmp_path):
-        config = SpillConfig(directory=str(tmp_path))
-        path = write_segment(config, "arith", 3, {"x": 1}, rows=77)
-        with open(path, "r+b") as f:
-            f.seek(-1, os.SEEK_END)
-            f.write(b"\xff")
-        with pytest.raises(TraceCorruptionError) as exc:
-            read_segment(path)
-        assert exc.value.rows == 77  # clear-text header survives
-
-    def test_truncation_detected(self, tmp_path):
-        config = SpillConfig(directory=str(tmp_path))
-        path = write_segment(config, "block", 0, {"x": 2}, rows=5)
-        with open(path, "r+b") as f:
-            f.truncate(8)
-        with pytest.raises(TraceCorruptionError):
-            read_segment(path)
-
-    def test_corrupt_spill_injection_point(self, tmp_path):
-        config = SpillConfig(
-            directory=str(tmp_path),
-            injector=FaultInjector().inject("corrupt_spill",
-                                            when={"segment": 0}),
-        )
-        bad = write_segment(config, "memory", 0, {"x": 3}, rows=9)
-        good = write_segment(config, "memory", 1, {"x": 4}, rows=9)
-        with pytest.raises(TraceCorruptionError):
-            read_segment(bad)
-        assert read_segment(good) == {"x": 4}
 
 
 # -- the supervisor itself -------------------------------------------------------
@@ -427,54 +382,27 @@ class TestShardSupervision:
         assert exc.value.context["attempts"] == 1  # strict never retries
 
 
-# -- buffer overflow spill and corrupt segments ---------------------------------
+# -- buffer overflow: a tiny in-flight flush size ------------------------------
 
 
 class TestBufferFaults:
-    def test_overflow_injection_spills_losslessly(self):
+    def test_overflow_injection_flushes_losslessly(self):
         serial = _profile_session(*APP).profiles
 
         def configure(device):
             device.fault_injector = FaultInjector().inject(
-                "buffer_overflow", segment_rows=128
+                "buffer_overflow", flush_rows=128
             )
 
-        session, _ = _chaos_session(configure)
-        _assert_profiles_match(serial, session.profiles)  # spill is lossless
-        assert sum(p.spilled_records for p in session.profiles) > 0
-        assert all(p.corrupt_records == 0 for p in session.profiles)
-
-    def test_corrupt_segment_dropped_with_accounting(self):
-        def configure(device):
-            device.fault_injector = (
-                FaultInjector()
-                .inject("buffer_overflow", segment_rows=128)
-                .inject("corrupt_spill", when={"kind": "memory",
-                                               "segment": 0})
-            )
-
-        with pytest.warns(LaunchDegradedWarning, match="corrupted spill"):
-            session, device = _chaos_session(configure)
-        lost = sum(p.corrupt_records for p in session.profiles)
-        assert lost > 0
-        assert any(
-            p.dropped_records >= p.corrupt_records > 0
+        session, device = _chaos_session(configure, fused=_plan())
+        # Many flushes per launch, and the results are unchanged.
+        assert all(
+            p.stream_stats["segments_streamed"] > 10
+            and p.stream_stats["peak_resident_rows"] < 256
             for p in session.profiles
         )
-        assert device.supervisor.events_for(sup.TRACE_SEGMENT_CORRUPT)
-
-    def test_corrupt_segment_strict_raises(self):
-        def configure(device):
-            device.failure_policy = "strict"
-            device.fault_injector = (
-                FaultInjector()
-                .inject("buffer_overflow", segment_rows=128)
-                .inject("corrupt_spill", when={"kind": "memory",
-                                               "segment": 0})
-            )
-
-        with pytest.raises(TraceCorruptionError):
-            _chaos_session(configure)
+        assert_in_flight_matches_kept(session.profiles, serial)
+        assert not device.supervisor.events
 
 
 # -- the headline acceptance property -------------------------------------------
@@ -482,8 +410,9 @@ class TestBufferFaults:
 
 def test_chaos_parallel_launch_byte_identical_to_clean_serial():
     """Crash + hang + forced overflow together: the supervised parallel
-    launch must still complete with traces, call paths, statistics and
-    memory byte-identical to a fault-free serial interpreter run."""
+    launch, analyzed in flight, must still complete with results, call
+    paths and statistics identical to a fault-free serial interpreter
+    run that keeps its records."""
     serial = _profile_session(*APP).profiles
 
     def configure(device):
@@ -494,9 +423,9 @@ def test_chaos_parallel_launch_byte_identical_to_clean_serial():
             FaultInjector(seed=42)
             .inject("worker_crash", when={"shard": 0, "attempt": 0})
             .inject("shard_hang", when={"shard": 1, "attempt": 0})
-            .inject("buffer_overflow", segment_rows=256)
+            .inject("buffer_overflow", flush_rows=256)
         )
 
-    session, device = _chaos_session(configure)
-    _assert_profiles_match(serial, session.profiles)
+    session, device = _chaos_session(configure, fused=_plan())
+    assert_in_flight_matches_kept(session.profiles, serial)
     assert not device.supervisor.events  # every fault recovered by retry

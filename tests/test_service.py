@@ -254,6 +254,15 @@ class TestServiceAPI:
             with pytest.raises(ServiceError, match="unknown submit"):
                 svc.submit("syrk", {"colour": "red"})
 
+    @pytest.mark.parametrize("hint", ["spill_dir", "spill_rows"])
+    def test_removed_spill_hints_rejected(self, hint):
+        # Traces are never spilled to disk, so the old hints are
+        # unknown keys, refused before anything runs.
+        with ProfilingService(workers=0) as svc:
+            with pytest.raises(ServiceError, match=f"unknown submit.*{hint}"):
+                svc.submit("syrk", {hint: 64})
+            assert svc.counters["jobs_executed"] == 0
+
     def test_heatmap_needs_memory_mode(self):
         with ProfilingService(workers=0) as svc:
             with pytest.raises(ServiceError, match="memory"):
