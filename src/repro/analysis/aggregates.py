@@ -5,7 +5,7 @@ divergence and cache behaviour are computed incrementally as
 instrumentation callbacks fire, never holding a full trace. This module
 restores that property for the columnar pipeline: each analysis is a
 :class:`SegmentAggregate` with an ``update(segment_columns)`` /
-``merge(other)`` / ``finalize()`` contract. By default the profiler
+``finalize()`` contract. By default the profiler
 pushes rows through an :class:`AnalyzerBank` of them *in flight*
 (:class:`~repro.profiler.streamdrain.FusedSink`); the public
 ``*_analysis()`` functions answer from that bank, or feed a
@@ -30,12 +30,7 @@ the record-at-a-time oracles (``reuse_distances_of_trace``,
   accumulation order cannot change them.
 * Dict-ordered results (per-site tables) record a canonical
   first-encounter key per site and sort at ``finalize()``, reproducing
-  the whole trace's first-encounter order exactly -- including across
-  shard merges.
-
-``merge()`` combines aggregates computed over *disjoint CTA/row
-partitions* (fork-parallel shards): shard partials merge
-aggregate-to-aggregate instead of trace-to-trace.
+  the whole trace's first-encounter order exactly.
 """
 
 from __future__ import annotations
@@ -374,16 +369,14 @@ class _OnlineStack:
 
 
 class SegmentAggregate:
-    """One streaming analysis: consumes column segments, merges, finalizes.
+    """One streaming analysis: consumes column segments, finalizes.
 
     ``stream`` names the trace stream the aggregate consumes
     ("memory", "block" or "arith"); the :class:`AnalyzerBank` routes
     segments accordingly. ``key`` identifies the class and the
     parameters it was built with: two aggregates with equal keys
     compute the same analysis. ``update`` sees each kept segment exactly
-    once, in trace order; ``merge`` combines a peer computed over a
-    disjoint CTA partition (fork-parallel shards, in shard order);
-    ``finalize`` returns the analysis result.
+    once, in trace order; ``finalize`` returns the analysis result.
     """
 
     stream = "memory"
@@ -392,21 +385,8 @@ class SegmentAggregate:
     def update(self, cols) -> None:
         raise NotImplementedError
 
-    def merge(self, other: "SegmentAggregate") -> None:
-        raise NotImplementedError
-
     def finalize(self):
         raise NotImplementedError
-
-
-def _merge_cta_states(mine: dict, theirs: dict, what: str) -> None:
-    overlap = mine.keys() & theirs.keys()
-    if overlap:
-        raise AnalysisError(
-            f"cannot merge {what} aggregates with overlapping CTAs "
-            f"(e.g. {sorted(overlap)[:3]}): shard partitions must be disjoint"
-        )
-    mine.update(theirs)
 
 
 class ReuseDistanceAggregate(SegmentAggregate):
@@ -433,10 +413,6 @@ class ReuseDistanceAggregate(SegmentAggregate):
             if state is None:
                 state = self._states[cta] = _OnlineReuse(self.write_restart)
             self.histogram.add_samples(state.feed(elements, writes))
-
-    def merge(self, other: "ReuseDistanceAggregate") -> None:
-        _merge_cta_states(self._states, other._states, "reuse-distance")
-        self.histogram.merge(other.histogram)
 
     def finalize(self) -> ReuseDistanceHistogram:
         return self.histogram
@@ -504,18 +480,6 @@ class SiteReuseAggregate(SegmentAggregate):
                     self._order[key] = order_key
                 hist.add_samples(groups[j])
 
-    def merge(self, other: "SiteReuseAggregate") -> None:
-        _merge_cta_states(self._states, other._states, "site-reuse")
-        for key, hist in other._hists.items():
-            mine = self._hists.get(key)
-            if mine is None:
-                self._hists[key] = hist
-            else:
-                mine.merge(hist)
-            known = self._order.get(key)
-            if known is None or other._order[key] < known:
-                self._order[key] = other._order[key]
-
     def finalize(self) -> Dict[Tuple[int, int], ReuseDistanceHistogram]:
         ordered = sorted(self._hists, key=lambda key: self._order[key])
         return {key: self._hists[key] for key in ordered}
@@ -559,11 +523,6 @@ class StackDistanceAggregate(SegmentAggregate):
                 for v, c in zip(vals.tolist(), counts.tolist()):
                     self._counts[v] += c
 
-    def merge(self, other: "StackDistanceAggregate") -> None:
-        _merge_cta_states(self._states, other._states, "stack-distance")
-        self._counts.update(other._counts)
-        self._infinite += other._infinite
-
     def finalize(self) -> StackDistanceSummary:
         return StackDistanceSummary(
             counts=self._counts,
@@ -588,9 +547,6 @@ class MemoryDivergenceAggregate(SegmentAggregate):
                 if c:
                     self.profile.counts[k] += c
 
-    def merge(self, other: "MemoryDivergenceAggregate") -> None:
-        self.profile.merge(other.profile)
-
     def finalize(self) -> MemoryDivergenceProfile:
         return self.profile
 
@@ -600,8 +556,7 @@ class DivergentSitesAggregate(SegmentAggregate):
 
     First-encounter dict order is reproduced via the global row index of
     each site's first divergent access (a running row offset makes the
-    per-segment indices global; ``merge`` shifts the peer's offsets past
-    this shard's rows, matching the concatenated trace).
+    per-segment indices global).
     """
 
     stream = "memory"
@@ -637,15 +592,6 @@ class DivergentSitesAggregate(SegmentAggregate):
                 self._counts[key] = self._counts.get(key, 0) + int(cnt[j])
         self._rows_seen += len(cols)
 
-    def merge(self, other: "DivergentSitesAggregate") -> None:
-        for key, count in other._counts.items():
-            self._counts[key] = self._counts.get(key, 0) + count
-            row = self._rows_seen + other._first[key]
-            known = self._first.get(key)
-            if known is None or row < known:
-                self._first[key] = row
-        self._rows_seen += other._rows_seen
-
     def finalize(self) -> Dict[Tuple[int, int], int]:
         ordered = sorted(self._counts, key=lambda key: self._first[key])
         return {key: self._counts[key] for key in ordered}
@@ -655,8 +601,8 @@ class BranchDivergenceAggregate(SegmentAggregate):
     """Streaming :func:`~repro.analysis.divergence_branch.branch_divergence_analysis`.
 
     ``per_block`` insertion order is trace first-encounter order; the
-    segments arrive in trace order (and shards merge in shard order),
-    so plain sequential insertion reproduces it.
+    segments arrive in trace order, so plain sequential insertion
+    reproduces it.
     """
 
     stream = "block"
@@ -687,9 +633,6 @@ class BranchDivergenceAggregate(SegmentAggregate):
             if flags[i]:
                 stats.divergent += 1
 
-    def merge(self, other: "BranchDivergenceAggregate") -> None:
-        self.profile.merge(other.profile)
-
     def finalize(self) -> BranchDivergenceProfile:
         return self.profile
 
@@ -718,9 +661,6 @@ class ArithmeticAggregate(SegmentAggregate):
             by_opcode[opcode] += n
             by_line[line] += n
 
-    def merge(self, other: "ArithmeticAggregate") -> None:
-        self.profile.merge(other.profile)
-
     def finalize(self) -> ArithmeticProfile:
         return self.profile
 
@@ -729,9 +669,8 @@ class AnalyzerBank:
     """A named set of aggregates fed by one in-flight sink.
 
     The sink calls ``update_memory`` / ``update_block`` /
-    ``update_arith`` once per kept flush window; shard banks merge with
-    :meth:`merge` (in shard order); :meth:`result` finalizes lazily and
-    caches, so analyses can be read repeatedly.
+    ``update_arith`` once per kept flush window; :meth:`result`
+    finalizes lazily and caches, so analyses can be read repeatedly.
     """
 
     def __init__(self, aggregates: Dict[str, SegmentAggregate]):
@@ -757,17 +696,6 @@ class AnalyzerBank:
     def update_arith(self, cols) -> None:
         for agg in self._by_stream["arith"]:
             agg.update(cols)
-
-    def merge(self, other: "AnalyzerBank") -> None:
-        if self._finalized or other._finalized:
-            raise AnalysisError("cannot merge a finalized analyzer bank")
-        if self.aggregates.keys() != other.aggregates.keys():
-            raise AnalysisError(
-                "cannot merge analyzer banks with different aggregate sets: "
-                f"{sorted(self.aggregates)} vs {sorted(other.aggregates)}"
-            )
-        for name, agg in self.aggregates.items():
-            agg.merge(other.aggregates[name])
 
     def result(self, name: str):
         if name in self._finalized:
@@ -801,7 +729,7 @@ class AnalyzerBank:
         is much larger than the finalized results (histograms,
         counters). Nothing reads aggregate internals after the drain --
         cross-profile combination happens on finalized results
-        (``ReuseDistanceHistogram.merge`` etc.), never bank-to-bank --
+        (``ReuseDistanceHistogram.merge`` etc.), never on aggregates --
         so ``kernel_end`` seals the bank once streaming completes and
         only one launch's cursors are ever alive at a time.
         """
@@ -845,8 +773,8 @@ def analyze(profile, aggregate: SegmentAggregate):
 class AnalyzerPlan:
     """A recipe for the aggregates an in-flight sink feeds.
 
-    A plan is shared across launches (and inherited by forked shard
-    workers); every ``kernel_end`` creates a fresh bank from it.
+    A plan is shared across launches; every instrumented launch
+    creates a fresh bank from it.
     """
 
     def __init__(self, factories: Dict[str, Callable[[], SegmentAggregate]]):

@@ -20,19 +20,16 @@ and execution configuration the profiler supports:
   before the program has allocated anything.
 * **Time** is the *per-CTA event phase*: a CTA's k-th kept memory
   instruction lands in time cell ``k // cell_rows``. Each CTA's stream
-  appears in trace order in every drain path, and CTA partitions are
-  disjoint across fork shards, so the phase of every event -- unlike a
-  raw global sequence number, which shard-local streaming banks do not
-  preserve -- is invariant under segment boundaries, shard merges, and
-  backend choice. Aligning CTAs by phase also reads naturally: for
+  appears in trace order whatever the flush boundaries, so the phase of
+  every event is invariant under segment boundaries and backend
+  choice. Aligning CTAs by phase also reads naturally: for
   SIMT kernels the phase axis is "how far through its work each CTA
   is", which is the execution-time axis CUTHERMO plots.
 
-:class:`HeatmapAggregate` follows the ``update`` / ``merge`` /
-``finalize`` contract of :mod:`repro.analysis.aggregates`, so heat maps
-stream through the out-of-core drain, merge across fork shards, and
-respect stride sampling and capacity exactly like every other analysis
--- byte-identity is pinned by ``tests/test_heatmap.py``.
+:class:`HeatmapAggregate` follows the ``update`` / ``finalize``
+contract of :mod:`repro.analysis.aggregates`, so heat maps are built in
+flight and respect stride sampling and capacity exactly like every
+other analysis -- byte-identity is pinned by ``tests/test_heatmap.py``.
 """
 
 from __future__ import annotations
@@ -94,7 +91,7 @@ def _unique_pairs(granules: np.ndarray, cells: np.ndarray):
 
 
 class HeatmapAggregate:
-    """Streaming heat-map builder (``update``/``merge``/``finalize``).
+    """Streaming heat-map builder (``update``/``finalize``).
 
     Duck-typed to :class:`repro.analysis.aggregates.SegmentAggregate`
     (kept import-light so the aggregates module stays the single place
@@ -184,27 +181,6 @@ class HeatmapAggregate:
                 target = self._cells[key] = _Cell(nbits)
             bits = groups[j]
             np.bitwise_or.at(target.bits, bits >> 3, bitval[bits & 7])
-
-    def merge(self, other: "HeatmapAggregate") -> None:
-        if (other.cell_rows != self.cell_rows
-                or other.granule_bytes != self.granule_bytes):
-            raise AnalysisError(
-                "cannot merge heat-map aggregates with different binning"
-            )
-        overlap = self._phase.keys() & other._phase.keys()
-        if overlap:
-            raise AnalysisError(
-                f"cannot merge heat-map aggregates with overlapping CTAs "
-                f"(e.g. {sorted(overlap)[:3]}): shard partitions must be "
-                f"disjoint"
-            )
-        self._phase.update(other._phase)
-        for key, cell in other._cells.items():
-            mine = self._cells.get(key)
-            if mine is None:
-                self._cells[key] = cell
-            else:
-                mine.merge(cell)
 
     def finalize(self) -> "HeatmapTable":
         return HeatmapTable(

@@ -87,10 +87,6 @@ def _add_profiling_args(profile: argparse.ArgumentParser) -> None:
         help="execution backend: interpreter or batched",
     )
     profile.add_argument(
-        "--workers", type=int, default=None,
-        help="shard eligible launches across N forked workers",
-    )
-    profile.add_argument(
         "--failure-policy", default=None, choices=FAILURE_POLICIES,
         help="how launches react when they cannot run as requested "
         "(default: degrade; see docs/reliability.md)",
@@ -259,8 +255,6 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
             f"unknown backend {args.backend!r}: expected one of "
             f"{', '.join(BACKENDS)}"
         )
-    if args.workers is not None and args.workers < 1:
-        raise _UsageError("--workers must be >= 1")
     if args.sample_rate < 1:
         raise _UsageError("--sample-rate must be >= 1")
     if args.heatmap_cell_rows is not None and args.heatmap_cell_rows < 1:
@@ -282,7 +276,6 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
         buffer_capacity=args.buffer_capacity,
         sample_rate=args.sample_rate,
         backend=args.backend,
-        parallel_workers=args.workers,
         failure_policy=args.failure_policy,
         heatmap=heatmap,
         **kwargs,
@@ -305,7 +298,6 @@ def _submit_config(args, modes, heatmap) -> dict:
         config["heatmap_cell_rows"] = args.heatmap_cell_rows
     for hint, value in (
         ("backend", args.backend),
-        ("parallel_workers", args.workers),
         ("failure_policy", args.failure_policy),
     ):
         if value is not None:
@@ -573,7 +565,7 @@ def _cmd_instrument(args) -> int:
 
 
 def _reap_workers() -> int:
-    """Kill and join any live child processes (pool or shard workers)."""
+    """Kill and join any live child processes (service pool workers)."""
     children = multiprocessing.active_children()
     for proc in children:
         proc.kill()

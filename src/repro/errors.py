@@ -61,8 +61,8 @@ class LaunchDegradedError(LaunchError):
 
     Raised (instead of warning) when ``device.failure_policy ==
     "strict"`` and a launch would have to drop a rung of the
-    degradation ladder (batched -> fork-parallel -> serial interpreter)
-    or recover from a shard fault. Carries the same machine-readable
+    degradation ladder (batched -> interpreter) or give up fused
+    in-flight analysis. Carries the same machine-readable
     ``reason`` code and ``context`` dict as
     :class:`LaunchDegradedWarning`.
     """
@@ -85,16 +85,15 @@ class LaunchDegradedWarning(RuntimeWarning):
     """A launch lost a requested fast path and fell back to a slower one.
 
     Emitted (never raised) when a configuration the user asked for --
-    ``device.parallel_workers``, ``device.backend = "batched"`` -- cannot
+    ``device.backend = "batched"``, fused in-flight analysis -- cannot
     be honoured for this launch and execution silently degrading would
-    hide the perf cliff: pc sampling forcing the serial interpreter,
-    platforms without ``fork``, parallel shards whose CTAs wrote
-    overlapping memory, or shard workers that crashed or hung and were
-    re-executed serially. Results are unaffected; only speed is.
+    hide the perf cliff: pc sampling forcing the interpreter, or pc
+    sampling forcing the trace to materialize. Results are unaffected;
+    only speed and memory are.
 
     Structured: ``reason`` is a stable machine-readable code (see
     :mod:`repro.reliability.supervisor`) and ``context`` a dict of
-    details (kernel, shard index, attempts, ...). ``str(w)`` stays the
+    details (kernel, backend, ...). ``str(w)`` stays the
     human-readable message. The launch supervisor deduplicates these
     per (reason, kernel) on each device, so a long profiling session
     warns once instead of once per kernel instance.

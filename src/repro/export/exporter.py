@@ -10,8 +10,8 @@ autotuners consume it instead of scraping rendered text.
 
 Determinism contract: the default document depends only on the program,
 architecture and instrumentation knobs -- *not* on how the trace was
-analyzed. Profiling the same app in flight or with kept records, with
-fork-parallel shards or the batched backend yields byte-identical
+analyzed. Profiling the same app in flight or with kept records, on
+the interpreter or the batched backend yields byte-identical
 :func:`export_json` output (pinned by ``tests/test_export.py`` and
 ``tests/test_differential.py``).
 Run-variant observations (wall-clock, in-flight statistics,

@@ -22,8 +22,7 @@ satisfies.
 
 Handlers share one signature ``run(op, it, warp, frame, entry, mask)``
 where ``it`` is the :class:`~repro.gpu.interpreter.WarpInterpreter`.
-They are module-level functions (fork-safe for the parallel launch
-path) and must mirror the seed interpreter's semantics exactly --
+They are module-level functions and must mirror the seed interpreter's semantics exactly --
 equivalence is pinned by tests/test_fastpath_equivalence.py and the
 committed benchmark outputs.
 

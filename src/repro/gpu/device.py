@@ -15,9 +15,6 @@ statistics (cycles, cache stats, divergence counts).
 
 from __future__ import annotations
 
-import copy
-import multiprocessing
-import os
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -36,20 +33,10 @@ from repro.gpu.memory import Allocation, GlobalMemory, LocalMemory, SharedMemory
 from repro.gpu.simt import Warp, WarpStatus
 from repro.gpu.timing import SMTimingModel, TimingParams
 from repro.ir.cfg import immediate_post_dominators
-from repro.reliability.shards import (
-    CRASH,
-    TIMEOUT,
-    run_shards_supervised,
-)
 from repro.reliability.supervisor import (
-    FORK_UNAVAILABLE,
+    FAILURE_POLICIES,
     FUSED_RECORDS_UNAVAILABLE,
     PC_SAMPLING_BATCHED,
-    PC_SAMPLING_PARALLEL,
-    SHARD_TIMEOUT,
-    SHARD_WORKER_CRASH,
-    SHARD_WORKER_ERROR,
-    SHARD_WRITE_CONFLICT,
     LaunchSupervisor,
 )
 from repro.ir.instructions import Phi
@@ -278,56 +265,6 @@ class _NullHookRuntime:
         pass
 
 
-#: Launch state for parallel shard workers; set by the parent right
-#: before the pool forks, so workers inherit it copy-on-write instead of
-#: pickling the image/device graph.
-_SHARD_PAYLOAD: Optional[dict] = None
-
-
-def _shard_entry(shard_index: int, attempt: int, conn) -> None:
-    """Worker-process entry: run one SM shard under supervision.
-
-    Streams ``("hb", t)`` heartbeats (one on start, one per finished
-    SM) and ends with ``("ok", result)`` or ``("err", detail)``.  The
-    device's fault injector can crash the worker before it reports in
-    (EOF on the pipe -> crash detection) or wedge it after the first
-    heartbeat (silence -> timeout detection).
-    """
-    p = _SHARD_PAYLOAD
-    device = p["device"]
-    injector = device.fault_injector
-    if injector is not None and injector.fires(
-        "worker_crash", shard=shard_index, attempt=attempt
-    ):
-        os._exit(17)  # hard death: no traceback, no result, just EOF
-    conn.send(("hb", time.monotonic()))
-    if injector is not None and injector.fires(
-        "shard_hang", shard=shard_index, attempt=attempt
-    ):
-        while True:  # wedged: heartbeats stop, the timeout reaps us
-            time.sleep(0.5)
-    device._heartbeat = lambda: conn.send(("hb", time.monotonic()))
-    try:
-        result = device._execute_shard(
-            p["image"],
-            p["kernel_name"],
-            p["grid3"],
-            p["block3"],
-            p["bound_args"],
-            p["hooks"],
-            p["l1_warps_per_cta"],
-            p["warps_per_cta"],
-            p["shards"][shard_index],
-            p["base_mem"],
-        )
-    except BaseException as exc:  # noqa: BLE001 -- report, parent decides
-        conn.send(("err", f"{type(exc).__name__}: {exc}"))
-    else:
-        conn.send(("ok", result))
-    finally:
-        conn.close()
-
-
 Dim = Union[int, Tuple[int, ...]]
 
 
@@ -359,8 +296,6 @@ class Device:
         self.scheduler = "gto"
         self.scheduler_quantum = 48  # max instructions per warp per visit
         self.max_steps = 200_000_000
-        #: >=2 shards CTAs across worker processes in Device.launch.
-        self.parallel_workers: Optional[int] = None
         #: "interpreter" steps each warp on its own; "batched" executes
         #: a CTA's lock-step warps as one numpy op per instruction and
         #: falls back to the interpreter per CTA on divergence or
@@ -385,17 +320,8 @@ class Device:
         #: falls back with one warning per (reason, kernel), and
         #: "best_effort" falls back silently. See docs/reliability.md.
         self.failure_policy = "degrade"
-        #: seconds without a shard heartbeat before the worker is
-        #: killed and retried; None disables hang detection.
-        self.shard_timeout: Optional[float] = None
-        #: relaunch attempts for a faulted shard before the parent
-        #: re-executes it serially ("strict" never retries).
-        self.shard_max_retries = 2
-        #: base of the exponential backoff between shard relaunches.
-        self.shard_retry_backoff = 0.05
         #: optional repro.reliability.FaultInjector for chaos testing.
         self.fault_injector = None
-        self._heartbeat = None  # bound to the result pipe in workers
         self._supervisor: Optional[LaunchSupervisor] = None
 
     @property
@@ -457,18 +383,17 @@ class Device:
         paper): warps with index >= threshold bypass L1.
         ``pc_sampler`` attaches a :class:`~repro.profiler.pc_sampling.
         PCSampler` (the sparse hardware-sampling baseline).
-
-        With ``self.parallel_workers >= 2`` eligible launches shard
-        their SMs across forked worker processes; traces and statistics
-        are merged back in SM order so the result is identical to a
-        serial run (launches whose CTAs write overlapping global memory
-        fall back to serial execution).
         """
         start = time.perf_counter()
         if self.backend not in ("interpreter", "batched"):
             raise LaunchError(
                 f"unknown execution backend {self.backend!r}: expected "
                 f"'interpreter' or 'batched'"
+            )
+        if self.failure_policy not in FAILURE_POLICIES:
+            raise LaunchError(
+                f"unknown failure policy {self.failure_policy!r}: expected "
+                f"one of {', '.join(FAILURE_POLICIES)}"
             )
         backend = self.backend
         if backend == "batched" and pc_sampler is not None:
@@ -522,35 +447,21 @@ class Device:
             }
         )
 
-        result = None
-        if self._parallel_eligible(hooks, pc_sampler, num_ctas, kernel_name):
-            result = self._launch_parallel(
-                image, kernel_name, grid3, block3, bound_args, hooks,
-                l1_warps_per_cta, warps_per_cta, num_ctas, start,
+        sms = self._build_sms(
+            image, kernel_name, grid3, block3, bound_args, hooks,
+            l1_warps_per_cta, pc_sampler, warps_per_cta,
+        )
+        if backend == "batched":
+            form_launch_gangs(self, sms, image, self.max_steps)
+        total_steps = 0
+        for index in sorted(sms):
+            total_steps += self._run_sm_any(
+                sms[index], image, total_budget=self.max_steps
             )
-            if result is None:
-                self.supervisor.degrade(
-                    SHARD_WRITE_CONFLICT,
-                    kernel_name,
-                    "parallel launch fell back to serial: CTAs in "
-                    "different shards wrote overlapping global memory",
-                )
-        if result is None:
-            sms = self._build_sms(
-                image, kernel_name, grid3, block3, bound_args, hooks,
-                l1_warps_per_cta, pc_sampler, warps_per_cta, None,
-            )
-            if self._launch_backend == "batched":
-                form_launch_gangs(self, sms, image, self.max_steps)
-            total_steps = 0
-            for index in sorted(sms):
-                total_steps += self._run_sm_any(
-                    sms[index], image, total_budget=self.max_steps
-                )
-            result = self._collect_result(
-                kernel_name, grid3, block3, sms, total_steps, num_ctas,
-                warps_per_cta, start,
-            )
+        result = self._collect_result(
+            kernel_name, grid3, block3, sms, total_steps, num_ctas,
+            warps_per_cta, start,
+        )
         hooks.kernel_end(result)
         return result
 
@@ -565,29 +476,18 @@ class Device:
         l1_warps_per_cta: Optional[int],
         pc_sampler,
         warps_per_cta: int,
-        sm_indices: Optional[Sequence[int]],
     ) -> Dict[int, _SM]:
-        """Build SMs and their CTAs, round-robin over the full grid.
-
-        ``sm_indices`` restricts construction to a shard of SMs; CTA
-        linear ids and global warp ids still advance over skipped CTAs,
-        so a shard's warps are indistinguishable from a full build.
-        """
+        """Build SMs and their CTAs, round-robin over the full grid."""
         decoded = image.decoded[kernel_name]
         warp_size = self.arch.warp_size
         num_sms = self.arch.num_sms
-        wanted = range(num_sms) if sm_indices is None else sm_indices
-        sms = {i: _SM(self.arch, self.timing_params) for i in wanted}
+        sms = {i: _SM(self.arch, self.timing_params) for i in range(num_sms)}
         global_warp_id = 0
         cta_linear = 0
         for cz in range(grid3[2]):
             for cy in range(grid3[1]):
                 for cx in range(grid3[0]):
-                    sm = sms.get(cta_linear % num_sms)
-                    if sm is None:
-                        cta_linear += 1
-                        global_warp_id += warps_per_cta
-                        continue
+                    sm = sms[cta_linear % num_sms]
                     ctx = _CTAContext(
                         image,
                         self.arch,
@@ -657,243 +557,6 @@ class Device:
                 # device its image holds) is freed by refcount.
                 ctx.interp = ctx.batched = None
         return result
-
-    # -- parallel launch ----------------------------------------------------------
-    def _parallel_eligible(
-        self, hooks, pc_sampler, num_ctas: int, kernel_name: str
-    ) -> bool:
-        # Sampled launches (hooks.sample_rate > 1) ARE eligible: the
-        # stride filter runs at drain time over the merged trace, so
-        # sharding cannot change which events are kept.
-        workers = self.parallel_workers
-        if not workers or workers < 2 or num_ctas < 2:
-            return False
-        if pc_sampler is not None:
-            self.supervisor.degrade(
-                PC_SAMPLING_PARALLEL,
-                kernel_name,
-                "pc sampling keeps one global sample clock: this launch "
-                "runs serially despite device.parallel_workers",
-                stacklevel=4,
-                workers=workers,
-            )
-            return False
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or not hasattr(os, "fork")):
-            self.supervisor.degrade(
-                FORK_UNAVAILABLE,
-                kernel_name,
-                "this platform cannot fork worker processes: this launch "
-                "runs serially despite device.parallel_workers",
-                stacklevel=4,
-                workers=workers,
-            )
-            return False
-        return True
-
-    def _launch_parallel(
-        self,
-        image: DeviceModuleImage,
-        kernel_name: str,
-        grid3: Tuple[int, int, int],
-        block3: Tuple[int, int, int],
-        bound_args: List[object],
-        hooks,
-        l1_warps_per_cta: Optional[int],
-        warps_per_cta: int,
-        num_ctas: int,
-        start: float,
-    ) -> Optional[LaunchResult]:
-        """Shard SMs across supervised forked workers.
-
-        Returns None to fall back to serial (cross-shard write
-        conflict).  Workers are supervised: a crashed or hung worker is
-        relaunched up to ``shard_max_retries`` times, and any shard
-        still failed after that is re-executed serially in the parent,
-        so the merged trace stays byte-identical to a clean run.
-        """
-        global _SHARD_PAYLOAD
-        num_sms = self.arch.num_sms
-        workers = min(self.parallel_workers, num_sms)
-        # Contiguous SM ranges: concatenating shard traces in shard
-        # order reproduces the serial SM-major event order.
-        bounds = np.linspace(0, num_sms, workers + 1, dtype=int)
-        shards = [
-            list(range(bounds[i], bounds[i + 1]))
-            for i in range(workers)
-            if bounds[i] < bounds[i + 1]
-        ]
-        base_mem = self.memory._buf.copy()
-        _SHARD_PAYLOAD = {
-            "device": self,
-            "image": image,
-            "kernel_name": kernel_name,
-            "grid3": grid3,
-            "block3": block3,
-            "bound_args": bound_args,
-            "hooks": hooks,
-            "l1_warps_per_cta": l1_warps_per_cta,
-            "warps_per_cta": warps_per_cta,
-            "shards": shards,
-            "base_mem": base_mem,
-        }
-        # Strict never retries: the first fault must surface as-is.
-        strict = self.supervisor.policy == "strict"
-        try:
-            ctx = multiprocessing.get_context("fork")
-            outcomes = run_shards_supervised(
-                ctx,
-                _shard_entry,
-                range(len(shards)),
-                timeout=self.shard_timeout,
-                max_attempts=1 if strict else self.shard_max_retries + 1,
-                backoff=self.shard_retry_backoff,
-            )
-        finally:
-            _SHARD_PAYLOAD = None
-
-        shard_results = []
-        fault_reasons = {CRASH: SHARD_WORKER_CRASH, TIMEOUT: SHARD_TIMEOUT}
-        for index in sorted(outcomes):
-            outcome = outcomes[index]
-            if outcome.failed:
-                kind = outcome.faults[-1] if outcome.faults else "error"
-                reason = fault_reasons.get(kind, SHARD_WORKER_ERROR)
-                detail = f" ({outcome.detail})" if outcome.detail != kind else ""
-                self.supervisor.degrade(
-                    reason,
-                    kernel_name,
-                    f"shard {index} {kind} after {outcome.attempts} "
-                    f"attempt(s){detail}: re-executing it serially",
-                    shard=index,
-                    attempts=outcome.attempts,
-                    faults=list(outcome.faults),
-                )
-                outcome.result = self._rerun_shard_in_parent(
-                    image, kernel_name, grid3, block3, bound_args, hooks,
-                    l1_warps_per_cta, warps_per_cta, shards[index], base_mem,
-                )
-            shard_results.append(outcome.result)
-
-        # CTAs in different shards wrote overlapping bytes: the merge
-        # cannot reproduce the serial interleaving, so rerun serially
-        # (device memory is still untouched here in the parent).
-        dirty = np.concatenate([r["dirty_idx"] for r in shard_results])
-        if np.unique(dirty).size != dirty.size:
-            return None
-        for r in shard_results:
-            self.memory._buf[r["dirty_idx"]] = r["dirty_bytes"]
-
-        cache = CacheStats()
-        for r in shard_results:
-            cache.merge(r["cache"])
-        result = LaunchResult(
-            kernel=kernel_name,
-            grid=grid3,
-            block=block3,
-            cycles=max(r["cycles"] for r in shard_results),
-            instructions=sum(r["steps"] for r in shard_results),
-            transactions=sum(r["transactions"] for r in shard_results),
-            cache=cache,
-            branches=sum(r["branches"] for r in shard_results),
-            divergent_branches=sum(r["divergent"] for r in shard_results),
-            wall_seconds=time.perf_counter() - start,
-            num_ctas=num_ctas,
-            warps_per_cta=warps_per_cta,
-        )
-        states = [r["hooks"] for r in shard_results if r["hooks"] is not None]
-        if states:
-            hooks.absorb_shards(states)
-        return result
-
-    def _rerun_shard_in_parent(
-        self,
-        image: DeviceModuleImage,
-        kernel_name: str,
-        grid3: Tuple[int, int, int],
-        block3: Tuple[int, int, int],
-        bound_args: List[object],
-        hooks,
-        l1_warps_per_cta: Optional[int],
-        warps_per_cta: int,
-        sm_indices: Sequence[int],
-        base_mem: np.ndarray,
-    ) -> dict:
-        """Serially re-execute one permanently failed shard, in-process.
-
-        A shallow copy of the hook runtime gets fresh shard buffers
-        (``reset_for_shard``), and parent memory is restored to the
-        pre-launch snapshot afterwards, so the recovered result is
-        indistinguishable from a clean worker's and the usual dirty-byte
-        merge still applies.
-        """
-        shard_hooks = hooks
-        if hasattr(hooks, "reset_for_shard"):
-            shard_hooks = copy.copy(hooks)
-        try:
-            return self._execute_shard(
-                image, kernel_name, grid3, block3, bound_args, shard_hooks,
-                l1_warps_per_cta, warps_per_cta, sm_indices, base_mem,
-            )
-        finally:
-            self.memory._buf[:] = base_mem
-
-    def _execute_shard(
-        self,
-        image: DeviceModuleImage,
-        kernel_name: str,
-        grid3: Tuple[int, int, int],
-        block3: Tuple[int, int, int],
-        bound_args: List[object],
-        hooks,
-        l1_warps_per_cta: Optional[int],
-        warps_per_cta: int,
-        sm_indices: Sequence[int],
-        base_mem: np.ndarray,
-    ) -> dict:
-        """Run one shard of SMs (in a forked worker, or in-parent rerun)."""
-        # A worker can run several shards; each starts from the
-        # pre-launch memory state captured at fork time.
-        self.memory._buf[:] = base_mem
-        if hasattr(hooks, "reset_for_shard"):
-            hooks.reset_for_shard()
-        sms = self._build_sms(
-            image, kernel_name, grid3, block3, bound_args, hooks,
-            l1_warps_per_cta, None, warps_per_cta, sm_indices,
-        )
-        if self._launch_backend == "batched":
-            form_launch_gangs(self, sms, image, self.max_steps)
-        steps = 0
-        for index in sorted(sms):
-            steps += self._run_sm_any(
-                sms[index], image, total_budget=self.max_steps
-            )
-            if self._heartbeat is not None:
-                self._heartbeat()
-        dirty = np.flatnonzero(self.memory._buf != base_mem).astype(np.int64)
-        branches = divergent = 0
-        for sm in sms.values():
-            for ctx in sm.resident:
-                for warp in ctx.warps:
-                    branches += warp.branch_count
-                    divergent += warp.divergent_branch_count
-        return {
-            "steps": steps,
-            "cycles": max(sm.timing.cycles for sm in sms.values()),
-            "transactions": sum(
-                c.transactions for sm in sms.values() for c in sm.resident
-            ),
-            "cache": self._merge_cache_stats(list(sms.values())),
-            "branches": branches,
-            "divergent": divergent,
-            "dirty_idx": dirty,
-            "dirty_bytes": self.memory._buf[dirty].copy(),
-            "hooks": (
-                hooks.export_shard()
-                if hasattr(hooks, "export_shard")
-                else None
-            ),
-        }
 
     def _merge_cache_stats(self, sms: List[_SM]) -> CacheStats:
         merged = CacheStats()

@@ -5,7 +5,10 @@ can concatenate the CPU call path leading to a kernel launch with the
 GPU-side call path (Section 3.2.1, Figure 8). The stand-in for that
 instrumentation in a Python host program is the :func:`host_function`
 decorator: wrapped functions push a frame (function name, source file,
-definition line, call-site line) on entry and pop it on return.
+definition line, call-site line) on entry and pop it on return. A call
+made from inside the library itself (the advisor running an app's
+``prepare``/``run``) keeps its file but not its line: that line belongs
+to the tool's implementation, not to the profiled program.
 
 The stack is per-thread (``threading.local``), like the per-thread CPU
 shadow stacks in the paper.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -27,9 +31,13 @@ class HostFrame:
 
     function: str
     filename: str
-    line: int  # call-site line in the caller (0 for the root)
+    #: call-site line in the caller (0 for the root; None for a call
+    #: from inside the library).
+    line: Optional[int]
 
     def __str__(self) -> str:
+        if self.line is None:
+            return f"{self.function}():: {self.filename}"
         return f"{self.function}():: {self.filename}: {self.line}"
 
 
@@ -67,6 +75,16 @@ class HostShadowStack:
 #: The process-wide host shadow stack (one per thread inside).
 GLOBAL_HOST_STACK = HostShadowStack()
 
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: the bundled benchmark programs: profiled code, not library code.
+_APPS_DIR = os.path.join(_PACKAGE_DIR, "apps")
+
+
+def _library_internal(path: str) -> bool:
+    path = os.path.abspath(path)
+    return (path.startswith(_PACKAGE_DIR + os.sep)
+            and not path.startswith(_APPS_DIR + os.sep))
+
 
 def host_function(fn: Callable) -> Callable:
     """Instrument a host function's calls and returns.
@@ -80,8 +98,9 @@ def host_function(fn: Callable) -> Callable:
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         caller = sys._getframe(1)
-        call_site_file = caller.f_code.co_filename.rsplit("/", 1)[-1]
-        frame = HostFrame(fn.__name__, call_site_file, caller.f_lineno)
+        path = caller.f_code.co_filename
+        line = None if _library_internal(path) else caller.f_lineno
+        frame = HostFrame(fn.__name__, path.rsplit("/", 1)[-1], line)
         GLOBAL_HOST_STACK.push(frame)
         try:
             return fn(*args, **kwargs)

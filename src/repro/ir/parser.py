@@ -44,6 +44,7 @@ _DBG_RE = re.compile(r'\s*!dbg\s+"([^"]*)":(\d+):(\d+)\s*$')
 _HEADER_RE = re.compile(
     r"^(define|declare)\s+(\w+)\s+(.+?)\s+@([\w.$-]+)\((.*)\)\s*(\{)?\s*$"
 )
+_TARGET_RE = re.compile(r'^target\s*=\s*"([^"]*)"$')
 _STRING_RE = re.compile(r'^@([\w.$-]+)\s*=\s*constant\s+c"(.*)"\s*$')
 _GLOBAL_RE = re.compile(
     r"^@([\w.$-]+)\s*=\s*global\s+(.+?),\s*count\s+(\d+),\s*addrspace\s+(\d+)"
@@ -157,7 +158,9 @@ def _parse_instruction(
 
     result_name = None
     if line.startswith("%"):
-        eq = line.index("=")
+        eq = line.find("=")
+        if eq < 0:
+            raise IRParseError(f"expected '%name = ...', got {line!r}", lineno)
         result_name = line[1:eq].strip()
         line = line[eq + 1:].strip()
 
@@ -259,8 +262,10 @@ def _parse_rhs(
 
     if head == "br":
         if rest.startswith("label"):
-            target = fp.get_block(rest.split("%")[1].strip())
-            return Br(target)
+            m = re.match(r"^label\s+%(\S+)$", rest)
+            if not m:
+                raise IRParseError(f"bad br: {line!r}", lineno)
+            return Br(fp.get_block(m.group(1)))
         m = re.match(r"^i1\s+(\S+),\s*label\s+%(\S+),\s*label\s+%(\S+)$", rest)
         if not m:
             raise IRParseError(f"bad br: {line!r}", lineno)
@@ -319,7 +324,10 @@ def parse_module(text: str) -> Module:
         if line.startswith("target"):
             if module is None:
                 raise IRParseError("target before module header", i)
-            module.target = line.split('"')[1]
+            m = _TARGET_RE.match(line)
+            if not m:
+                raise IRParseError(f"bad target line: {line!r}", i)
+            module.target = m.group(1)
             continue
         i -= 1
         break

@@ -304,7 +304,6 @@ class CUDAAdvisor:
         buffer_capacity: Optional[int] = None,
         sample_rate: int = 1,
         backend: Optional[str] = None,
-        parallel_workers: Optional[int] = None,
         failure_policy: Optional[str] = None,
         keep_records: bool = False,
         heatmap: bool = False,
@@ -319,7 +318,6 @@ class CUDAAdvisor:
         #: execution knobs forwarded to every Device this advisor builds
         #: (None keeps the device default; see docs/reliability.md).
         self.backend = backend
-        self.parallel_workers = parallel_workers
         self.failure_policy = failure_policy
         #: Rows are analyzed *in flight* by default: they flush into
         #: the analyzer bank every few thousand rows during execution
@@ -351,8 +349,6 @@ class CUDAAdvisor:
         device = Device(self.arch)
         if self.backend is not None:
             device.backend = self.backend
-        if self.parallel_workers is not None:
-            device.parallel_workers = self.parallel_workers
         if self.failure_policy is not None:
             device.failure_policy = self.failure_policy
         return CudaRuntime(device, profiler=profiler)

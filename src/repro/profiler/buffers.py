@@ -106,15 +106,6 @@ class _ColumnarBase:
             return False
         return True
 
-    def _admit_bulk(self, n: int) -> int:
-        """Bulk version of :meth:`_admit`; returns rows admitted."""
-        self.total_appended += n
-        admit = n
-        if self.capacity is not None:
-            admit = max(0, min(n, self.capacity - len(self)))
-        self.dropped += n - admit
-        return admit
-
     def _live_view(self):
         """The buffered rows as a view over the live column prefixes."""
         raise NotImplementedError
@@ -292,25 +283,6 @@ class ColumnarMemoryBuffer(_ColumnarBase):
         self._maybe_flush()
         return True
 
-    def extend(self, cols: MemoryColumns) -> int:
-        """Bulk-append drained columns (parallel-shard merge)."""
-        admit = self._admit_bulk(len(cols))
-        if not admit:
-            return 0
-        if self._cols is None:
-            self._warp_size = cols.addresses.shape[1]
-        while self._alloc < self._n + admit:
-            self._grow(self._warp_size)
-        lo, hi = self._n, self._n + admit
-        data = (cols.seq, cols.cta, cols.warp_in_cta, cols.bits, cols.line,
-                cols.col, cols.op, cols.call_path_id, cols.addresses,
-                cols.mask)
-        for dst, src in zip(self._cols, data):
-            dst[lo:hi] = src[:admit]
-        self._n = hi
-        self._maybe_flush()
-        return admit
-
     def _empty(self) -> MemoryColumns:
         return MemoryColumns(
             *(np.zeros(0, d) for d in (np.int64, np.int32, np.int32,
@@ -443,23 +415,6 @@ class ColumnarBlockBuffer(_ColumnarBase):
         self._n = n + 1
         self._maybe_flush()
         return True
-
-    def extend(self, cols: BlockColumns) -> int:
-        """Bulk-append drained columns (parallel-shard merge)."""
-        admit = self._admit_bulk(len(cols))
-        if not admit:
-            return 0
-        while self._alloc < self._n + admit:
-            self._grow()
-        lo, hi = self._n, self._n + admit
-        data = (cols.seq, cols.cta, cols.warp_in_cta, cols.line, cols.col,
-                cols.active_lanes, cols.resident_lanes, cols.call_path_id)
-        for dst, src in zip(self._cols, data):
-            dst[lo:hi] = src[:admit]
-        self._names.extend(cols.block_names[:admit])
-        self._n = hi
-        self._maybe_flush()
-        return admit
 
     def _empty(self) -> BlockColumns:
         return BlockColumns(
@@ -602,24 +557,6 @@ class ColumnarArithBuffer(_ColumnarBase):
         self._maybe_flush()
         return True
 
-    def extend(self, cols: ArithColumns) -> int:
-        """Bulk-append drained columns (parallel-shard merge)."""
-        admit = self._admit_bulk(len(cols))
-        if not admit:
-            return 0
-        while self._alloc < self._n + admit:
-            self._grow()
-        lo, hi = self._n, self._n + admit
-        data = (cols.seq, cols.cta, cols.warp_in_cta, cols.bits,
-                cols.is_float, cols.line, cols.col, cols.active_lanes,
-                cols.call_path_id)
-        for dst, src in zip(self._cols, data):
-            dst[lo:hi] = src[:admit]
-        self._opcodes.extend(cols.opcodes[:admit])
-        self._n = hi
-        self._maybe_flush()
-        return admit
-
     def _empty(self) -> ArithColumns:
         return ArithColumns(
             *(np.zeros(0, d) for d in (
@@ -636,11 +573,11 @@ def stride_sample(memory: MemoryColumns, arith: ArithColumns,
     The sampled trace is a strict row-subset of the full trace: events
     are ranked by sequence number across both column sets together (the
     order the hooks fired in) and ranks ``0, rate, 2*rate, ...`` are
-    kept, seqs untouched. Because the filter runs at drain time over
-    already-merged columns -- not via a shared counter at append time --
-    sampled launches stay eligible for the parallel and batched fast
-    paths: sharding or batching changes *when* events are appended, never
-    their seq order, so the kept set is identical to a serial run's.
+    kept, seqs untouched. Because the filter runs at drain time over the
+    columns -- not via a shared counter at append time -- sampled
+    launches stay eligible for the batched backend: batching changes
+    *when* events are appended, never their seq order, so the kept set
+    is identical to an interpreter run's.
     """
     if rate == 1:
         return memory, arith

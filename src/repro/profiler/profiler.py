@@ -95,11 +95,11 @@ class HookRuntime:
         #: record every Nth memory/arith event (the paper's Section 5
         #: overhead-reduction direction); call-path and block events are
         #: never sampled (the shadow stacks must stay exact). Sampling
-        #: is a stride filter over the merged trace (see
+        #: is a stride filter over the trace (see
         #: :func:`repro.profiler.buffers.stride_sample`), so sampled
-        #: launches still use the parallel/batched fast paths; the
-        #: memory/arith buffers run uncapped during the launch and the
-        #: capacity is applied to the filtered rows.
+        #: launches still use the batched backend; the memory/arith
+        #: buffers run uncapped during the launch and the capacity is
+        #: applied to the filtered rows.
         self.sample_rate = sample_rate
         self._capacity = buffer_capacity
         #: an :class:`~repro.analysis.aggregates.AnalyzerPlan` (or None):
@@ -107,8 +107,7 @@ class HookRuntime:
         #: every ``_flush_rows`` rows *during* execution and the profile
         #: carries ``aggregates`` + StreamedRecords placeholders.
         #: Disabled per launch when raw records are needed
-        #: (``disable_fused``). The plan itself is never pickled --
-        #: shard workers inherit it through fork.
+        #: (``disable_fused``).
         self._fused = fused
 
         # The device's fault injector can force a tiny flush size (the
@@ -131,7 +130,12 @@ class HookRuntime:
         self._fused_bank = None
         self._fused_sink = None
         if fused is not None:
-            self._attach_fused_sink()
+            self._fused_bank = fused.create_bank()
+            self._fused_sink = FusedSink(
+                self._fused_bank, self.memory_buffer, self.block_buffer,
+                self.arith_buffer, sample_rate, buffer_capacity,
+                self._flush_rows,
+            )
 
         self._seq = 0
         self._launch_info: Optional[dict] = None
@@ -144,15 +148,6 @@ class HookRuntime:
         self._root_entry: Optional[GPUPathEntry] = None
         self.profile: Optional[KernelProfile] = None
         self.on_complete = None  # callable(profile), set by the session
-
-    def _attach_fused_sink(self) -> None:
-        """Wire the current buffers into a fresh bank."""
-        self._fused_bank = self._fused.create_bank()
-        self._fused_sink = FusedSink(
-            self._fused_bank, self.memory_buffer, self.block_buffer,
-            self.arith_buffer, self.sample_rate, self._capacity,
-            self._flush_rows,
-        )
 
     @property
     def fused(self) -> bool:
@@ -214,9 +209,8 @@ class HookRuntime:
     def _kernel_end_in_flight(self, launch_result) -> None:
         """Finish a launch whose rows streamed through the bank.
 
-        Own rows (and any fork shards' rows, absorbed in SM order)
-        already went through the bank; only a sub-window tail remains
-        to flush. Stride sampling and capacity ran on the sink's
+        Rows already went through the bank; only a sub-window tail
+        remains to flush. Stride sampling and capacity ran on the sink's
         cursors, so the kept rows match the in-RAM path exactly.
         """
         sink, bank = self._fused_sink, self._fused_bank
@@ -263,88 +257,6 @@ class HookRuntime:
         )
         if self.on_complete is not None:
             self.on_complete(self.profile)
-
-    # -- parallel-launch sharding -------------------------------------------------------
-    def reset_for_shard(self) -> None:
-        """Reinitialize trace state inside a forked shard worker.
-
-        Shard buffers are uncapped: the parent enforces the global
-        capacity when it absorbs the shards in SM order, so the drop set
-        matches a serial run exactly.
-        """
-        self.memory_buffer = ColumnarMemoryBuffer()
-        self.block_buffer = ColumnarBlockBuffer()
-        self.arith_buffer = ColumnarArithBuffer()
-        self.call_paths = CallPathRegistry()
-        self._seq = 0
-        self._warp_stacks = {}
-        self._warp_path_ids = {}
-        self._fused_bank = None
-        self._fused_sink = None
-        if (self._fused is not None and self.sample_rate == 1
-                and self._capacity is None):
-            # The shard's kept rows are exactly its trace, so it can
-            # analyze in flight locally and ship its bank. Otherwise the
-            # stride phase / keep-first cutoff depend on earlier shards'
-            # row counts: the shard keeps its rows in RAM and ships the
-            # columns for the parent's running cursors.
-            self._attach_fused_sink()
-
-    def export_shard(self) -> dict:
-        """Pickleable trace state a shard worker sends back: its bank
-        when it analyzed in flight, else its drained columns."""
-        state = {
-            "paths": list(self.call_paths._paths),
-            "seq_total": self._seq,
-        }
-        if self._fused_sink is not None:
-            self._fused_sink.flush()
-            self._fused_sink.detach()
-            state["bank"] = self._fused_bank
-            state["stats"] = self._fused_sink.stats.as_dict()
-        else:
-            state["memory"] = self.memory_buffer.drain()
-            state["block"] = self.block_buffer.drain()
-            state["arith"] = self.arith_buffer.drain()
-        return state
-
-    def absorb_shards(self, shard_states) -> None:
-        """Merge shard traces back, in SM order, as if run serially.
-
-        Sequence numbers are renumbered with a running offset (all three
-        buffers share one counter, so a shard's local seqs are already
-        dense and ordered), and call-path ids are re-interned into the
-        parent registry in shard order -- first-encounter order across
-        the concatenated stream, identical to a serial run. Shard banks
-        merge into the parent's bank; shard columns go through the
-        parent's in-flight sink, or into its buffers when it keeps
-        records. A fork-parallel launch never dispatches hooks in the
-        parent, so nothing else reaches the bank in between.
-        """
-        for state in shard_states:
-            remap = np.array(
-                [self.call_paths.intern(p) for p in state["paths"]],
-                dtype=np.int64,
-            )
-            if "bank" in state:
-                self._fused_bank.merge(state["bank"])
-                self._fused_sink.stats.absorb(state["stats"])
-            else:
-                offset = self._seq
-                columns = (state["memory"], state["block"], state["arith"])
-                for cols in columns:
-                    if len(cols):
-                        cols.seq = cols.seq + offset
-                        cols.call_path_id = remap[cols.call_path_id]
-                if self._fused_sink is not None:
-                    self._fused_sink.feed_columns(*columns)
-                else:
-                    for cols, buffer in zip(columns, (
-                        self.memory_buffer, self.block_buffer,
-                        self.arith_buffer,
-                    )):
-                        buffer.extend(cols)
-            self._seq += state["seq_total"]
 
     # -- hook implementations ----------------------------------------------------------
     def _current_path_id(self, warp) -> int:

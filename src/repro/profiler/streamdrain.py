@@ -22,12 +22,6 @@ whole kept trace at once:
   accounting, matching append-time caps (``sample_rate == 1``) and the
   post-sampling :func:`~repro.profiler.buffers.clip_to_capacity`
   (``sample_rate > 1``).
-
-Fork-parallel shards either ship their own bank (exact when no
-sampling or capacity applies; the parent merges bank-to-bank) or ship
-their drained columns, which the parent feeds through the same window
-in SM order (:meth:`FusedSink.feed_columns`) -- a shard's columns are
-one complete seq window of the launch, so the running ranks stay exact.
 """
 
 from __future__ import annotations
@@ -99,16 +93,6 @@ class StreamStats:
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def absorb(self, other: Dict[str, int]) -> None:
-        """Fold in a shard worker's stats (sums; peak is a max)."""
-        self.segments_streamed += other.get("segments_streamed", 0)
-        self.peak_resident_rows = max(
-            self.peak_resident_rows, other.get("peak_resident_rows", 0)
-        )
-        self.memory_rows += other.get("memory_rows", 0)
-        self.block_rows += other.get("block_rows", 0)
-        self.arith_rows += other.get("arith_rows", 0)
-
 
 class FusedSink:
     """Pushes kept rows into the analyzer bank *during* execution.
@@ -152,12 +136,6 @@ class FusedSink:
         """Push everything still buffered (called at kernel_end)."""
         self._flush_blocks()
         self._flush_events()
-
-    def feed_columns(self, memory, block, arith) -> None:
-        """Feed a fork shard's drained columns, in SM order."""
-        self._blocks(block if len(block) else None)
-        self._window(memory if len(memory) else None,
-                     arith if len(arith) else None)
 
     def _flush_blocks(self, buffer=None) -> None:
         self._blocks(self.block_buffer.detach_rows())

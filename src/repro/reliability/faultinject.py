@@ -5,20 +5,12 @@ A :class:`FaultInjector` is attached to a device
 a small set of named **injection points** inside the launch and trace
 pipeline.  Each point fires only when an armed :class:`FaultSpec`
 matches the call's context, so chaos tests can pin precise scenarios
-("shard 1 crashes on its first attempt", "flush every 64 trace
+("pool worker 1 crashes on its first job", "flush every 64 trace
 rows") and probabilistic soak runs stay reproducible from a seed.
 
 Injection points
 ----------------
 
-``worker_crash``
-    Fired in a forked shard worker before any execution; the worker
-    dies with ``os._exit`` (no result, no traceback) -- the parent sees
-    a crashed process.  Context: ``shard``, ``attempt``.
-``shard_hang``
-    Fired in a forked shard worker after its first heartbeat; the
-    worker sleeps forever -- the parent's shard timeout must reap it.
-    Context: ``shard``, ``attempt``.
 ``buffer_overflow``
     Fired once per instrumented launch when the hook runtime builds its
     trace buffers; forces a tiny in-flight flush size (param
@@ -61,8 +53,6 @@ from typing import Dict, List, Optional, Tuple
 
 #: The valid injection-point names (typo guard for tests).
 INJECTION_POINTS = (
-    "worker_crash",
-    "shard_hang",
     "buffer_overflow",
     "service_worker_crash",
     "service_job_hang",
@@ -106,7 +96,7 @@ class FaultInjector:
         """Arm a fault at ``point``; chainable.
 
         ``when`` is a context subset that must match for the fault to
-        fire (e.g. ``{"shard": 1, "attempt": 0}``); ``params`` are
+        fire (e.g. ``{"app": "bfs", "attempt": 0}``); ``params`` are
         point-specific knobs handed back to the caller (e.g.
         ``flush_rows=64`` for ``buffer_overflow``).
         """

@@ -4,23 +4,23 @@ Every ``Device.launch`` resolves its execution plan through the
 device's :class:`LaunchSupervisor`.  The **degradation ladder** orders
 the execution modes from fastest to most conservative::
 
-    batched backend  ->  fork-parallel interpreter  ->  serial interpreter
+    batched backend  ->  interpreter
 
-Any transition *down* the ladder -- and any recovery from a shard
-fault -- goes through :meth:`LaunchSupervisor.degrade`, which applies
-the device's ``failure_policy``:
+Any transition *down* the ladder -- and any other launch that cannot
+run as requested -- goes through :meth:`LaunchSupervisor.degrade`,
+which applies the device's ``failure_policy``:
 
 ``"strict"``
-    Never degrade or recover: raise
+    Never degrade: raise
     :class:`~repro.errors.LaunchDegradedError` carrying the reason code
-    and context.  Shard faults are not retried.
+    and context.
 ``"degrade"`` (default)
-    Degrade/recover and emit one structured
+    Degrade and emit one structured
     :class:`~repro.errors.LaunchDegradedWarning` per (reason, kernel)
     on this device -- a session launching the same kernel a thousand
     times warns once, not a thousand times.
 ``"best_effort"``
-    Degrade/recover silently; events are still recorded in
+    Degrade silently; events are still recorded in
     ``supervisor.events`` for post-run inspection.
 
 Reason codes are stable, machine-readable strings (``w.reason``); the
@@ -41,37 +41,19 @@ FAILURE_POLICIES = ("strict", "degrade", "best_effort")
 # -- machine-readable reason codes (stable API for tooling) -----------------
 #: pc sampling needs per-instruction stepping; batched backend dropped.
 PC_SAMPLING_BATCHED = "pc-sampling-batched"
-#: pc sampling keeps one global sample clock; parallel launch dropped.
-PC_SAMPLING_PARALLEL = "pc-sampling-parallel"
-#: the platform cannot fork worker processes; parallel launch dropped.
-FORK_UNAVAILABLE = "fork-unavailable"
-#: CTAs in different shards wrote overlapping memory; serial rerun.
-SHARD_WRITE_CONFLICT = "shard-write-conflict"
-#: a shard worker process died without delivering its result.
-SHARD_WORKER_CRASH = "shard-worker-crash"
-#: a shard worker missed its heartbeat deadline and was killed.
-SHARD_TIMEOUT = "shard-timeout"
-#: a shard worker raised an exception; re-executed serially.
-SHARD_WORKER_ERROR = "shard-worker-error"
 #: the launch needs raw trace records (pc sampling, record export);
 #: fused in-flight analysis is disabled and the trace materializes.
 FUSED_RECORDS_UNAVAILABLE = "fused-records-unavailable"
 
 REASON_CODES = (
     PC_SAMPLING_BATCHED,
-    PC_SAMPLING_PARALLEL,
-    FORK_UNAVAILABLE,
-    SHARD_WRITE_CONFLICT,
-    SHARD_WORKER_CRASH,
-    SHARD_TIMEOUT,
-    SHARD_WORKER_ERROR,
     FUSED_RECORDS_UNAVAILABLE,
 )
 
 
 @dataclass
 class DegradationEvent:
-    """One recorded drop down the ladder (or fault recovery)."""
+    """One recorded drop down the ladder."""
 
     reason: str
     kernel: str

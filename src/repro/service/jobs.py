@@ -4,7 +4,7 @@ A **job** is one whole profiling request: "profile app X with config Y
 and hand back the canonical export document".  :class:`JobSpec` pins
 everything that *determines the result bytes* -- those fields (plus the
 module IR hash and the export schema version) form the cache key.
-Execution hints (backend, shard workers, failure policy) change how a
+Execution hints (backend, failure policy) change how a
 job runs, never what it returns, so they ride along outside the key.
 
 :class:`JobHandle` is the client's view of a submitted job: ``poll()``

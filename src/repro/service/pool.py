@@ -1,10 +1,9 @@
 """The persistent worker pool behind the profiling service.
 
-Unlike the per-launch shard fleet (:mod:`repro.reliability.shards`,
-one short-lived process per SM shard), pool workers are **long-lived**:
-each runs :func:`repro.service.worker.worker_main`, accepting one whole
-profiling job at a time over a duplex pipe.  The pool generalizes the
-shard supervisor's primitives from shard scope to job scope:
+Pool workers are **long-lived**: each runs
+:func:`repro.service.worker.worker_main`, accepting one whole profiling
+job at a time over a duplex pipe.  The pool supervises them at job
+scope:
 
 * **heartbeats** -- a busy worker beats every ``heartbeat_interval``
   seconds from a background thread; the hang deadline (``job_timeout``)

@@ -88,7 +88,7 @@ _SPEC_FIELDS = (
 )
 
 #: execution-hint keys forwarded to the worker (never part of the key).
-_HINT_FIELDS = ("backend", "parallel_workers", "failure_policy")
+_HINT_FIELDS = ("backend", "failure_policy")
 
 
 def _canonical_kwargs(app_kwargs: Optional[dict]) -> tuple:
@@ -200,7 +200,7 @@ class ProfilingService:
 
         ``config`` may carry result-shaping knobs (``modes``, ``arch``,
         ``sample_rate``, ``heatmap``...; these feed the cache key) and
-        execution hints (``backend``, ``parallel_workers``...; these do
+        execution hints (``backend``, ``failure_policy``; these do
         not).  A cache hit resolves the handle before ``submit``
         returns; an identical in-flight spec is coalesced instead of
         re-simulated.

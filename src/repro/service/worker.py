@@ -36,8 +36,8 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
     """Execute one profiling job; returns ``{"payload", "launches"}``.
 
     ``hints`` carries execution knobs that may change *how* the job
-    runs but never its payload bytes (backend, shard workers, failure
-    policy) -- the export document is invariant under all of
+    runs but never its payload bytes (backend, failure policy) -- the
+    export document is invariant under all of
     them by construction, which this function leans on. Jobs analyze in
     flight, like every :class:`CUDAAdvisor` profile.
     """
@@ -60,7 +60,6 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
         sample_rate=spec.sample_rate,
         heatmap=spec.heatmap,
         backend=hints.get("backend"),
-        parallel_workers=hints.get("parallel_workers"),
         failure_policy=hints.get("failure_policy"),
         **kwargs,
     )

@@ -30,7 +30,7 @@ LAUNCHES = {
 }
 
 
-def _run(kernel_name, backend, block=None, workers=None, instrument=True):
+def _run(kernel_name, backend, block=None, instrument=True):
     grid, default_block, n = LAUNCHES[kernel_name]
     block = block or default_block
     module = compile_kernels([KERNELS[kernel_name]], "m")
@@ -40,7 +40,6 @@ def _run(kernel_name, backend, block=None, workers=None, instrument=True):
     session = ProfilingSession() if instrument else None
     device = Device(KEPLER_K40C)
     device.backend = backend
-    device.parallel_workers = workers
     runtime = CudaRuntime(device, profiler=session)
     image = device.load_module(module)
 
@@ -119,14 +118,6 @@ def test_batched_uninstrumented_numerics():
         _assert_results_identical(ra, rb)
 
 
-def test_batched_with_parallel_workers():
-    ra, oa, pa = _run("strided_sum", "interpreter")
-    rb, ob, pb = _run("strided_sum", "batched", workers=4)
-    assert np.array_equal(oa, ob)
-    _assert_results_identical(ra, rb)
-    _assert_profiles_identical(pa, pb)
-
-
 def test_unknown_backend_rejected():
     module = compile_kernels([KERNELS["saxpy"]], "m")
     optimization_pipeline().run(module)
@@ -151,20 +142,6 @@ def test_pc_sampling_degrades_batched_with_warning():
     d = runtime.cuda_malloc(4 * 64, "d")
     sampler = PCSampler(period=5)
     with pytest.warns(LaunchDegradedWarning, match="pc sampling"):
-        device.launch(image, "saxpy", 2, 32, [d, d, np.float32(1.0), 64],
-                      pc_sampler=sampler)
-
-
-def test_pc_sampling_degrades_parallel_with_warning():
-    module = compile_kernels([KERNELS["saxpy"]], "m")
-    optimization_pipeline().run(module)
-    device = Device(KEPLER_K40C)
-    device.parallel_workers = 4
-    runtime = CudaRuntime(device)
-    image = device.load_module(module)
-    d = runtime.cuda_malloc(4 * 64, "d")
-    sampler = PCSampler(period=5)
-    with pytest.warns(LaunchDegradedWarning, match="serially despite"):
         device.launch(image, "saxpy", 2, 32, [d, d, np.float32(1.0), 64],
                       pc_sampler=sampler)
 

@@ -52,17 +52,14 @@ class TestProfile:
         assert main(["profile", "nn", "--sample-rate", "0"]) == 2
         assert "--sample-rate must be >= 1" in capsys.readouterr().err
 
-    def test_bad_workers_rejected(self, capsys):
-        assert main(["profile", "nn", "--workers", "0"]) == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag", [
         "--fused", "--streaming-drain", "--drain-workers=2",
-        "--spill-dir=/tmp/x", "--spill-rows=64",
+        "--spill-dir=/tmp/x", "--spill-rows=64", "--workers=2",
     ])
     def test_removed_drain_flags_rejected(self, capsys, flag):
-        # In flight or kept in RAM are the only ways a trace moves; the
-        # old per-path and disk-spill switches are usage errors, not
+        # In flight or kept in RAM are the only ways a trace moves, and
+        # every launch runs serially in-process; the old per-path,
+        # disk-spill and fork-parallel switches are usage errors, not
         # silent no-ops.
         with pytest.raises(SystemExit) as exc:
             main(["profile", "nn", flag])

@@ -1,6 +1,6 @@
 """One analysis path, checked against record-at-a-time oracles.
 
-Every analysis runs through the mergeable aggregates of
+Every analysis runs through the segment aggregates of
 ``analysis/aggregates.py``: in flight by default, and -- for profiles
 that keep their records -- over the materialized trace fed as one
 segment. Instead of pinning those feeds against each other pairwise,
@@ -12,15 +12,12 @@ exact equality -- dict order included:
 
 * **Property tests** (hypothesis) push random interleaved
   memory/block/arith streams through the in-flight path at flush
-  granularities down to one row, through CTA-disjoint fork shards
-  whose banks merge, and through shards whose drained columns the
-  parent feeds in SM order -- under stride-sampling phases, keep-first
-  capacity, and both reuse-distance write rules.
+  granularities down to one row -- under stride-sampling phases,
+  keep-first capacity, and both reuse-distance write rules.
 * **App level**: the default (in-flight) ``CUDAAdvisor`` report and its
   ``export_json`` bytes must equal a ``keep_records=True`` run, and its
   analyses must equal the oracles over the kept records -- serial,
-  batched backend, fork-parallel shards (bank merge, sampled and
-  capped), sampled and capped. Launches that need raw records (pc
+  batched backend and capped. Launches that need raw records (pc
   sampling) fall back to kept records; in-flight profiles keep their
   row counts but refuse element access.
 """
@@ -338,57 +335,6 @@ class TestAggregatesMatchOracles:
             write_restart=write_restart,
         )
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        events=_EVENTS,
-        flush_rows=st.integers(1, 9),
-        pivot=st.integers(0, 3),
-    )
-    def test_fork_shard_banks_merge(self, events, flush_rows, pivot):
-        # A fork-parallel launch splits CTAs across shards, each shard
-        # fills its own bank, and the parent merges them in shard order
-        # -- the concatenated trace the oracles see.
-        low = [e for e in events if e[1] <= pivot]
-        high = [e for e in events if e[1] > pivot]
-        bank = _in_flight(low, flush_rows)
-        bank.merge(_in_flight(high, flush_rows))
-        lo, hi = _kept_records(low), _kept_records(high)
-        assert_bank_matches_oracles(
-            bank, *(a + b for a, b in zip(lo, hi))
-        )
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        events=_EVENTS,
-        pivot=st.integers(0, 3),
-        rate=st.sampled_from([1, 2, 3]),
-        capacity=st.sampled_from([None, 4]),
-    )
-    def test_fork_shard_columns_feed(self, events, pivot, rate, capacity):
-        # Under sampling or capacity a shard ships its drained columns
-        # (worker-local seqs) and the parent feeds them, offset, through
-        # its own sink in shard order: each shard is one complete seq
-        # window, so the running stride rank and keep-first cursors see
-        # the concatenated trace.
-        shards = ([e for e in events if e[1] <= pivot],
-                  [e for e in events if e[1] > pivot])
-        bank = _plan().create_bank()
-        sink = FusedSink(bank, *_buffers(), rate, capacity)
-        offset = 0
-        for shard in shards:
-            columns = _buffers()
-            _fill(shard, columns)
-            drained = [buffer.drain() for buffer in columns]
-            for cols in drained:
-                cols.seq = cols.seq + offset
-            sink.feed_columns(*drained)
-            offset += len(shard)
-        sink.flush()
-        assert_bank_matches_oracles(
-            bank, *_kept_records(shards[0] + shards[1], rate, capacity)
-        )
-
-
 # -- app level -------------------------------------------------------------------
 
 MODES = ("memory", "blocks", "arith")
@@ -400,9 +346,6 @@ APPS = [
 CONFIGS = {
     "serial": {},
     "batched": {"backend": "batched"},
-    "fork-shards": {"parallel_workers": 4},
-    "sampled-shards": {"parallel_workers": 4, "sample_rate": 3},
-    "capped-shards": {"parallel_workers": 4, "buffer_capacity": 60},
     "capped": {"buffer_capacity": 60},
 }
 

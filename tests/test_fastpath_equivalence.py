@@ -1,22 +1,18 @@
-"""Fast-path equivalence: the columnar trace buffers, the parallel
-launch, and the batched-warp backend must be invisible to every
-consumer.
+"""Fast-path equivalence: the columnar trace buffers and the
+batched-warp backend must be invisible to every consumer.
 
-Four properties are pinned here:
+Three properties are pinned here:
 
 * **Columnar vs. record analyses** -- running the analyzers over the
   drained column views must give numerically identical results to
   running them over the same trace materialized as classic record
   lists (which exercises the per-record fallback paths).
-* **Parallel vs. serial launch** -- with ``Device.parallel_workers``
-  set, drained traces, call-path registries, and hardware statistics
-  must be byte-identical to a serial run.
 * **Batched vs. interpreter backend** -- with ``device.backend =
-  "batched"``, everything above must again be byte-identical, alone
-  and combined with parallel workers.
+  "batched"``, drained traces, call-path registries, and hardware
+  statistics must be byte-identical to an interpreter run.
 * **Stride sampling** -- a ``sample_rate=k`` trace must be exactly
-  every k-th record of the full serial memory+arith stream (same seqs,
-  same bytes), whichever backend or worker count produced it.
+  every k-th record of the full memory+arith stream (same seqs, same
+  bytes), whichever backend produced it.
 """
 
 import numpy as np
@@ -33,17 +29,12 @@ from repro.analysis.reuse_distance import (
     site_reuse_analysis,
 )
 from repro.apps import build_app
-from repro.frontend import compile_kernels, kernel, ptr_i32
+from repro.frontend import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
 from repro.host import CudaRuntime
 from repro.passes import instrumentation_pipeline, optimization_pipeline
 from repro.profiler import ProfilingSession
 from repro.profiler.buffers import MemoryColumns
-
-
-@kernel
-def bump_counter(counter: ptr_i32):
-    atomic_add(counter, 0, 1)  # noqa: F821 -- DSL intrinsic
 
 
 APPS = [
@@ -53,15 +44,13 @@ APPS = [
 ]
 
 
-def _profile_session(app_name, app_kwargs, workers=None, backend=None,
-                     sample_rate=1):
+def _profile_session(app_name, app_kwargs, backend=None, sample_rate=1):
     app = build_app(app_name, **app_kwargs)
     module = compile_kernels(list(app.kernels), app_name)
     optimization_pipeline().run(module)
     instrumentation_pipeline(["memory", "blocks", "arith"]).run(module)
     session = ProfilingSession(sample_rate=sample_rate)
     device = Device(KEPLER_K40C)
-    device.parallel_workers = workers
     if backend is not None:
         device.backend = backend
     runtime = CudaRuntime(device, profiler=session)
@@ -165,44 +154,22 @@ def _assert_profiles_match(serial, other):
 
 
 @pytest.mark.parametrize("app_name,app_kwargs", APPS)
-def test_parallel_launch_matches_serial(app_name, app_kwargs):
-    serial = _profile_session(app_name, app_kwargs).profiles
-    parallel = _profile_session(app_name, app_kwargs, workers=4).profiles
-    _assert_profiles_match(serial, parallel)
-
-
-@pytest.mark.parametrize("app_name,app_kwargs", APPS)
 def test_batched_backend_matches_interpreter(app_name, app_kwargs):
     serial = _profile_session(app_name, app_kwargs).profiles
     batched = _profile_session(app_name, app_kwargs, backend="batched")
     _assert_profiles_match(serial, batched.profiles)
 
 
-@pytest.mark.parametrize("app_name,app_kwargs", APPS)
-def test_batched_parallel_matches_serial_interpreter(app_name, app_kwargs):
-    serial = _profile_session(app_name, app_kwargs).profiles
-    combined = _profile_session(
-        app_name, app_kwargs, workers=4, backend="batched"
-    )
-    _assert_profiles_match(serial, combined.profiles)
-
-
 @pytest.mark.parametrize("rate", [2, 3, 5])
-@pytest.mark.parametrize(
-    "backend,workers",
-    [("interpreter", None), ("batched", None), ("interpreter", 4),
-     ("batched", 4)],
-)
-def test_stride_sampling_is_exact_subset(rate, backend, workers):
+@pytest.mark.parametrize("backend", ["interpreter", "batched"])
+def test_stride_sampling_is_exact_subset(rate, backend):
     """sample_rate=k keeps exactly every k-th event of the merged
-    memory+arith stream of a full serial trace -- same seqs, same rows --
-    regardless of backend or worker count, and block records are never
-    sampled."""
+    memory+arith stream of a full trace -- same seqs, same rows --
+    regardless of backend, and block records are never sampled."""
     app_name, app_kwargs = APPS[0]
     full = _profile_session(app_name, app_kwargs).profiles
     sampled = _profile_session(
-        app_name, app_kwargs, workers=workers, backend=backend,
-        sample_rate=rate,
+        app_name, app_kwargs, backend=backend, sample_rate=rate,
     ).profiles
     assert len(full) == len(sampled)
     for pf, ps in zip(full, sampled):
@@ -224,23 +191,3 @@ def test_stride_sampling_is_exact_subset(rate, backend, workers):
         assert list(ps.arith_records) == expect_arith
         assert list(ps.block_records) == list(pf.block_records)
 
-
-def test_parallel_conflicting_writes_fall_back_to_serial():
-    """CTAs atomically updating one location overlap in every shard's
-    write set; the launch must detect it and produce serial results."""
-    module = compile_kernels([bump_counter], "conflict")
-    optimization_pipeline().run(module)
-
-    def run(workers):
-        device = Device(KEPLER_K40C)
-        device.parallel_workers = workers
-        runtime = CudaRuntime(device)
-        image = device.load_module(module)
-        d_counter = runtime.cuda_malloc(4, "d_counter")
-        runtime.cuda_memcpy_htod(d_counter, np.zeros(1, dtype=np.int32))
-        runtime.launch_kernel(image, "bump_counter", 8, 32, [d_counter])
-        out = np.zeros(1, dtype=np.int32)
-        runtime.cuda_memcpy_dtoh(out, d_counter)
-        return int(out[0])
-
-    assert run(None) == run(4) == 8 * 32

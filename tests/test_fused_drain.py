@@ -13,8 +13,8 @@ other:
   including stride-sampling phases and keep-first capacity across
   flush boundaries.
 * **Session level**: instrumented programs run twice through
-  :class:`ProfilingSession` (fused vs kept records) across serial /
-  batched / fork-parallel configurations, and the analyses and
+  :class:`ProfilingSession` (fused vs kept records) on the interpreter
+  and the batched backend, sampled and capped, and the analyses and
   accounting must be identical -- with no file written along the way.
 """
 
@@ -248,8 +248,8 @@ APPS = [
 ]
 
 
-def _session(app, fused=False, workers=None, backend=None,
-             sample_rate=1, capacity=None):
+def _session(app, fused=False, backend=None, sample_rate=1,
+             capacity=None):
     app_name, app_kwargs = app
     program = build_app(app_name, **app_kwargs)
     module = compile_kernels(list(program.kernels), app_name)
@@ -261,8 +261,6 @@ def _session(app, fused=False, workers=None, backend=None,
         fused=full_plan(LINE_SIZE) if fused else None,
     )
     device = Device(KEPLER_K40C)
-    if workers is not None:
-        device.parallel_workers = workers
     if backend is not None:
         device.backend = backend
     runtime = CudaRuntime(device, profiler=session)
@@ -299,28 +297,6 @@ class TestFusedApps:
     def test_batched_backend(self, app):
         kept = _session(app, backend="batched")
         fused = _session(app, fused=True, backend="batched")
-        _assert_sessions_match(kept, fused)
-
-    @pytest.mark.parametrize("app", APPS, ids=lambda a: a[0])
-    def test_fork_parallel_bank_ship(self, app):
-        # No sampling/capacity: each shard runs its own fused bank and
-        # ships it; the parent merges bank-to-bank in SM order.
-        kept = _session(app, workers=4)
-        fused = _session(app, fused=True, workers=4)
-        _assert_sessions_match(kept, fused)
-
-    def test_fork_parallel_sampled_relays(self):
-        # Sampling needs the global stride phase, so shards ship their
-        # drained columns for the parent's running cursors.
-        app = APPS[0]
-        kept = _session(app, workers=4, sample_rate=3)
-        fused = _session(app, fused=True, workers=4, sample_rate=3)
-        _assert_sessions_match(kept, fused)
-
-    def test_fork_parallel_capacity_relays(self):
-        app = APPS[1]
-        kept = _session(app, workers=4, capacity=60)
-        fused = _session(app, fused=True, workers=4, capacity=60)
         _assert_sessions_match(kept, fused)
 
     def test_sampled_and_capped_serial(self):

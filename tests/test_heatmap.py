@@ -5,8 +5,8 @@ byte-identical ``(granule, time-cell)`` tables no matter how the trace
 reaches it:
 
 * **Property tests** (hypothesis) compare one whole-trace update
-  against random segment splits (in-flight flushes) and CTA-partition
-  shard merges (fork-parallel workers) -- cells must match bit-for-bit;
+  against random segment splits (in-flight flushes) -- cells must
+  match bit-for-bit;
   sampled in-flight feeds are checked against a per-lane oracle by
   ``tests/test_differential.py``.
 * **Resolution tests** pin the granule->allocation join: exact
@@ -95,31 +95,6 @@ class TestDrainInvariance:
             agg.update(cols.take(np.arange(start, min(start + step, len(cols)))))
             start += step
         assert _cells_equal(agg.finalize(), _whole_trace_table(events))
-
-    @settings(max_examples=40, deadline=None)
-    @given(events=_EVENTS, pivot=st.integers(0, 3))
-    def test_cta_shard_merge_matches_whole_trace(self, events, pivot):
-        cols = _build_memory(events).drain()
-        low, high = HeatmapAggregate(4), HeatmapAggregate(4)
-        sel = np.asarray(cols.cta) <= pivot
-        if sel.any():
-            low.update(cols.take(np.flatnonzero(sel)))
-        if (~sel).any():
-            high.update(cols.take(np.flatnonzero(~sel)))
-        low.merge(high)
-        assert _cells_equal(low.finalize(), _whole_trace_table(events))
-
-    def test_merge_rejects_mismatched_binning_and_shared_ctas(self):
-        a, b = HeatmapAggregate(4), HeatmapAggregate(8)
-        with pytest.raises(AnalysisError):
-            a.merge(b)
-        cols = _build_memory([(0, 1, False, 1)]).drain()
-        c, d = HeatmapAggregate(4), HeatmapAggregate(4)
-        c.update(cols)
-        d.update(cols)
-        with pytest.raises(AnalysisError):
-            c.merge(d)
-
 
 class TestResolution:
     def _alloc(self, name, base, nbytes, site="app.py: 1"):

@@ -131,3 +131,23 @@ class TestParseErrors:
     def test_corrupt_top_level(self):
         with pytest.raises(IRParseError):
             parse_module("; module m\nwat is this\n")
+
+    @pytest.mark.parametrize("old,new", [
+        ("%n.addr = alloca", "%n.addralloca"),
+        ('target = "nvptx"', "target"),
+        ("br label %if.end", "br label"),
+    ], ids=["ssa-without-equals", "bare-target", "br-without-block"])
+    def test_mutated_app_module_raises_typed_error(self, old, new):
+        # Each mutation once escaped as a ValueError / IndexError.
+        from repro.apps import build_app
+        from repro.frontend import compile_kernels
+
+        app = build_app("nn")
+        lines = print_module(
+            compile_kernels(list(app.kernels), "nn")
+        ).splitlines()
+        index = next(i for i, line in enumerate(lines) if old in line)
+        lines[index] = lines[index].replace(old, new, 1)
+        with pytest.raises(IRParseError) as exc:
+            parse_module("\n".join(lines))
+        assert exc.value.line == index + 1

@@ -340,9 +340,8 @@ class TestReleasedByRefcount:
         {},
         {"keep_records": True},
         {"backend": "batched"},
-        {"parallel_workers": 2},
         {"failure_policy": "strict"},
-    ], ids=["in-flight", "keep-records", "batched", "fork-shards", "strict"])
+    ], ids=["in-flight", "keep-records", "batched", "strict"])
     def test_dropped_report_frees_its_devices(self, monkeypatch, knobs):
         devices = []
         fresh = CUDAAdvisor._fresh_runtime

@@ -254,10 +254,12 @@ class TestServiceAPI:
             with pytest.raises(ServiceError, match="unknown submit"):
                 svc.submit("syrk", {"colour": "red"})
 
-    @pytest.mark.parametrize("hint", ["spill_dir", "spill_rows"])
+    @pytest.mark.parametrize(
+        "hint", ["spill_dir", "spill_rows", "parallel_workers"]
+    )
     def test_removed_spill_hints_rejected(self, hint):
-        # Traces are never spilled to disk, so the old hints are
-        # unknown keys, refused before anything runs.
+        # Traces are never spilled to disk and launches never fork, so
+        # the old hints are unknown keys, refused before anything runs.
         with ProfilingService(workers=0) as svc:
             with pytest.raises(ServiceError, match=f"unknown submit.*{hint}"):
                 svc.submit("syrk", {hint: 64})
